@@ -7,6 +7,14 @@ query evaluation on UWSDTs track the one-world evaluation time so closely
 in Figure 30: for placeholder densities of 0.005 %–0.1 %, the overwhelming
 majority of template tuples never reach the component machinery.
 
+Which tuples carry placeholders is read from the input relations'
+placeholder masks (:meth:`UWSDT.placeholder_mask`, the ``F`` relation
+indexed by tuple id), never from the template values.  A tuple without a
+mask entry takes the *certain path*: the operator evaluates its condition
+on the template values, appends one result template tuple and moves on,
+without building a field reference, looking up a component or calling
+``ext``.  Masked tuples go through the component machinery row at a time.
+
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
 referenced attribute; component values violating the condition are removed
@@ -16,12 +24,12 @@ dropped from the result template again (lines 4–6 of the figure).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import RepresentationError, SchemaError
 from ...relational.predicates import AttrConst, Predicate
 from ...relational.schema import RelationSchema
-from ...relational.values import BOTTOM, PLACEHOLDER, is_placeholder
+from ...relational.values import BOTTOM, PLACEHOLDER
 from ..component import Component
 from ..fields import FieldRef
 from ..uwsdt import TID, UWSDT
@@ -32,8 +40,11 @@ from ..uwsdt import TID, UWSDT
 # --------------------------------------------------------------------------- #
 
 
-def _placeholder_attrs(attributes: Sequence[str], values: Sequence[Any]) -> List[str]:
-    return [a for a, v in zip(attributes, values) if is_placeholder(v)]
+def _in_schema_order(schema: RelationSchema, marked: Optional[AbstractSet[str]]) -> List[str]:
+    """A tuple's masked (placeholder) attributes in schema order; ``[]`` if certain."""
+    if not marked:
+        return []
+    return sorted(marked, key=schema.position)
 
 
 def _copy_placeholder_fields(
@@ -172,23 +183,21 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
 
     candidates = _equality_candidates(uwsdt, source, predicate)
     if candidates is None:
-        candidates = list(uwsdt.template_rows(source))
+        candidates = uwsdt.template_rows(source)
+    mask = uwsdt.placeholder_mask(source)
 
     for tuple_id, values in candidates:
-        uncertain_refs = [
-            a for a, p in zip(referenced, referenced_positions) if is_placeholder(values[p])
-        ]
-        placeholders = _placeholder_attrs(attributes, values)
-
+        marked = mask.get(tuple_id)
+        uncertain_refs = [a for a in referenced if a in marked] if marked else []
         if not uncertain_refs:
             # Line 1 of Figure 16: the condition is decided by the template alone.
-            if compiled is not None and not compiled(
-                tuple(values[p] for p in referenced_positions)
-            ):
-                continue
-            uwsdt.add_template_tuple(target, tuple_id, values)
-            _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+            if compiled is None or compiled(tuple(values[p] for p in referenced_positions)):
+                uwsdt.add_template_tuple(target, tuple_id, values)
+                if marked:
+                    placeholders = _in_schema_order(source_schema, marked)
+                    _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
             continue
+        placeholders = _in_schema_order(source_schema, marked)
         value_map = dict(zip(attributes, values))
 
         # The condition depends on uncertain fields: keep the tuple and filter
@@ -199,7 +208,7 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
         cid = _merge_target_components(uwsdt, target_fields)
         component = uwsdt.components[cid]
 
-        certain_refs = [a for a in referenced if not is_placeholder(value_map[a])]
+        certain_refs = [a for a in referenced if a not in marked]
         pseudo_schema = RelationSchema(target, tuple(referenced))
         failing: List[int] = []
         for row_index, row in enumerate(component.rows):
@@ -247,12 +256,18 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
 
     all_attributes = source_schema.attributes
     dropped = [a for a in all_attributes if a not in attributes]
+    kept_positions = [source_schema.position(a) for a in attributes]
+    mask = uwsdt.placeholder_mask(source)
 
-    for tuple_id, values in list(uwsdt.template_rows(source)):
+    for tuple_id, values in uwsdt.template_rows(source):
+        kept_values = [values[p] for p in kept_positions]
+        marked = mask.get(tuple_id)
+        if marked is None:
+            uwsdt.add_template_tuple(target, tuple_id, kept_values)
+            continue
         value_map = dict(zip(all_attributes, values))
-        kept_values = [value_map[a] for a in attributes]
-        kept_placeholders = [a for a in attributes if is_placeholder(value_map[a])]
-        dropped_placeholders = [a for a in dropped if is_placeholder(value_map[a])]
+        kept_placeholders = [a for a in attributes if a in marked]
+        dropped_placeholders = [a for a in dropped if a in marked]
 
         # Which dropped placeholder fields may mark the tuple as absent?
         presence_fields: List[FieldRef] = []
@@ -324,17 +339,18 @@ def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     if uwsdt.schema.has_relation(target):
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(renamed_schema)
-    for tuple_id, values in list(uwsdt.template_rows(source)):
+    mask = uwsdt.placeholder_mask(source)
+    for tuple_id, values in uwsdt.template_rows(source):
         uwsdt.add_template_tuple(target, tuple_id, values)
-        for attribute, value in zip(source_schema.attributes, values):
-            if is_placeholder(value):
-                source_field = FieldRef(source, tuple_id, attribute)
-                new_attribute = new if attribute == old else attribute
-                target_field = FieldRef(target, tuple_id, new_attribute)
-                cid = uwsdt.component_of(source_field)
-                uwsdt.replace_component(
-                    cid, uwsdt.components[cid].ext(source_field, target_field)
-                )
+        marked = mask.get(tuple_id)
+        if marked is None:
+            continue
+        for attribute in _in_schema_order(source_schema, marked):
+            source_field = FieldRef(source, tuple_id, attribute)
+            new_attribute = new if attribute == old else attribute
+            target_field = FieldRef(target, tuple_id, new_attribute)
+            cid = uwsdt.component_of(source_field)
+            uwsdt.replace_component(cid, uwsdt.components[cid].ext(source_field, target_field))
 
 
 def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
@@ -348,11 +364,14 @@ def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     uwsdt.add_relation(RelationSchema(target, left_schema.attributes))
     for side in (left, right):
         side_schema = uwsdt.schema.relation(side)
-        for tuple_id, values in list(uwsdt.template_rows(side)):
+        mask = uwsdt.placeholder_mask(side)
+        for tuple_id, values in uwsdt.template_rows(side):
             target_tid = (side, tuple_id)
             uwsdt.add_template_tuple(target, target_tid, values)
-            placeholders = _placeholder_attrs(side_schema.attributes, values)
-            for attribute in placeholders:
+            marked = mask.get(tuple_id)
+            if marked is None:
+                continue
+            for attribute in _in_schema_order(side_schema, marked):
                 source_field = FieldRef(side, tuple_id, attribute)
                 target_field = FieldRef(target, target_tid, attribute)
                 cid = uwsdt.component_of(source_field)
@@ -369,13 +388,17 @@ def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     if uwsdt.schema.has_relation(target):
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(RelationSchema(target, target_schema.attributes))
-    right_rows = list(uwsdt.template_rows(right))
-    for left_tid, left_values in list(uwsdt.template_rows(left)):
-        left_placeholders = _placeholder_attrs(left_schema.attributes, left_values)
-        for right_tid, right_values in right_rows:
-            right_placeholders = _placeholder_attrs(right_schema.attributes, right_values)
+    right_mask = uwsdt.placeholder_mask(right)
+    right_rows = [
+        (right_tid, right_values, _in_schema_order(right_schema, right_mask.get(right_tid)))
+        for right_tid, right_values in uwsdt.template_rows(right)
+    ]
+    left_mask = uwsdt.placeholder_mask(left)
+    for left_tid, left_values in uwsdt.template_rows(left):
+        left_placeholders = _in_schema_order(left_schema, left_mask.get(left_tid))
+        for right_tid, right_values, right_placeholders in right_rows:
             target_tid = (left_tid, right_tid)
-            uwsdt.add_template_tuple(target, target_tid, tuple(left_values) + tuple(right_values))
+            uwsdt.add_template_tuple(target, target_tid, left_values + right_values)
             for attribute in left_placeholders:
                 source_field = FieldRef(left, left_tid, attribute)
                 cid = uwsdt.component_of(source_field)
@@ -433,7 +456,8 @@ def equi_join(
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(RelationSchema(target, target_schema.attributes))
 
-    left_rows = list(uwsdt.template_rows(left))
+    left_mask = uwsdt.placeholder_mask(left)
+    right_mask = uwsdt.placeholder_mask(right)
     right_position = right_schema.position(right_attr)
     left_position = left_schema.position(left_attr)
 
@@ -460,13 +484,15 @@ def equi_join(
             uncertain_right.append((right_tid, right_values, right_candidates(right_tid)))
     else:
         for right_tid, right_values in uwsdt.template_rows(right):
-            join_value = right_values[right_position]
-            if is_placeholder(join_value):
+            marked = right_mask.get(right_tid)
+            if marked is not None and right_attr in marked:
                 uncertain_right.append(
                     (right_tid, right_values, right_candidates(right_tid))
                 )
             else:
-                certain_index.setdefault(join_value, []).append((right_tid, right_values))
+                certain_index.setdefault(right_values[right_position], []).append(
+                    (right_tid, right_values)
+                )
 
     def probe_certain(value: Any) -> List[Tuple[Any, Tuple[Any, ...]]]:
         if template_index is not None:
@@ -480,14 +506,17 @@ def equi_join(
     def emit(
         left_tid: Any,
         left_values: Tuple[Any, ...],
+        left_placeholders: List[str],
         right_tid: Any,
         right_values: Tuple[Any, ...],
         must_check: bool,
     ) -> None:
         target_tid = (left_tid, right_tid)
-        uwsdt.add_template_tuple(target, target_tid, tuple(left_values) + tuple(right_values))
-        left_placeholders = _placeholder_attrs(left_schema.attributes, left_values)
-        right_placeholders = _placeholder_attrs(right_schema.attributes, right_values)
+        uwsdt.add_template_tuple(target, target_tid, left_values + right_values)
+        right_marked = right_mask.get(right_tid)
+        if not left_placeholders and right_marked is None:
+            return
+        right_placeholders = _in_schema_order(right_schema, right_marked)
         for attribute in left_placeholders:
             source_field = FieldRef(left, left_tid, attribute)
             cid = uwsdt.component_of(source_field)
@@ -506,9 +535,9 @@ def equi_join(
             return
         # Condition the result tuple on the join values agreeing.
         check_fields = []
-        if is_placeholder(left_values[left_position]):
+        if left_attr in left_placeholders:
             check_fields.append(FieldRef(target, target_tid, left_attr))
-        if is_placeholder(right_values[right_position]):
+        if right_attr in right_placeholders:
             check_fields.append(FieldRef(target, target_tid, right_attr))
         cid = _merge_target_components(uwsdt, check_fields)
         component = uwsdt.components[cid]
@@ -533,19 +562,19 @@ def equi_join(
             component = component.propagate_bottom()
             uwsdt.replace_component(cid, component)
         if _tuple_deleted_everywhere(uwsdt.components[cid], target, target_tid):
-            placeholders = _placeholder_attrs(
-                target_schema.attributes, tuple(left_values) + tuple(right_values)
+            _drop_result_tuple(
+                uwsdt, target, target_tid, left_placeholders + right_placeholders
             )
-            _drop_result_tuple(uwsdt, target, target_tid, placeholders)
 
-    for left_tid, left_values in left_rows:
-        left_join_value = left_values[left_position]
-        if not is_placeholder(left_join_value):
+    for left_tid, left_values in uwsdt.template_rows(left):
+        left_placeholders = _in_schema_order(left_schema, left_mask.get(left_tid))
+        if left_attr not in left_placeholders:
+            left_join_value = left_values[left_position]
             for right_tid, right_values in probe_certain(left_join_value):
-                emit(left_tid, left_values, right_tid, right_values, must_check=False)
+                emit(left_tid, left_values, left_placeholders, right_tid, right_values, False)
             for right_tid, right_values, candidates in uncertain_right:
                 if left_join_value in candidates:
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
+                    emit(left_tid, left_values, left_placeholders, right_tid, right_values, True)
         else:
             field = FieldRef(left, left_tid, left_attr)
             component = uwsdt.components[uwsdt.component_of(field)]
@@ -556,10 +585,10 @@ def equi_join(
                     if right_tid in matched_right:
                         continue
                     matched_right.add(right_tid)
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
+                    emit(left_tid, left_values, left_placeholders, right_tid, right_values, True)
             for right_tid, right_values, candidates in uncertain_right:
                 if left_candidates & candidates:
-                    emit(left_tid, left_values, right_tid, right_values, must_check=True)
+                    emit(left_tid, left_values, left_placeholders, right_tid, right_values, True)
 
 
 # --------------------------------------------------------------------------- #
@@ -582,18 +611,24 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(RelationSchema(target, left_schema.attributes))
     attributes = left_schema.attributes
-    right_rows = list(uwsdt.template_rows(right))
+    right_mask = uwsdt.placeholder_mask(right)
+    right_rows = [
+        (right_tid, right_values, _in_schema_order(right_schema, right_mask.get(right_tid)))
+        for right_tid, right_values in uwsdt.template_rows(right)
+    ]
+    left_mask = uwsdt.placeholder_mask(left)
 
-    for left_tid, left_values in list(uwsdt.template_rows(left)):
-        left_placeholders = _placeholder_attrs(attributes, left_values)
+    for left_tid, left_values in uwsdt.template_rows(left):
+        left_placeholders = _in_schema_order(left_schema, left_mask.get(left_tid))
         # A certain right tuple that is certainly equal removes the left tuple outright.
         certainly_removed = False
-        conditional_matches: List[Tuple[Any, Tuple[Any, ...]]] = []
-        for right_tid, right_values in right_rows:
-            right_placeholders = _placeholder_attrs(attributes, right_values)
+        conditional_matches: List[Tuple[Any, Tuple[Any, ...], List[str]]] = []
+        for right_tid, right_values, right_placeholders in right_rows:
+            uncertain = set(left_placeholders).union(right_placeholders)
             certain_mismatch = any(
-                (not is_placeholder(lv)) and (not is_placeholder(rv)) and lv != rv
-                for lv, rv in zip(left_values, right_values)
+                lv != rv
+                for a, lv, rv in zip(attributes, left_values, right_values)
+                if a not in uncertain
             )
             if certain_mismatch:
                 continue
@@ -603,7 +638,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
             if not left_placeholders and not right_placeholders and not right_presence_uncertain:
                 certainly_removed = True
                 break
-            conditional_matches.append((right_tid, right_values))
+            conditional_matches.append((right_tid, right_values, right_placeholders))
         if certainly_removed:
             continue
 
@@ -626,8 +661,7 @@ def difference(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
         if not conditional_matches:
             continue
 
-        for right_tid, right_values in conditional_matches:
-            right_placeholders = _placeholder_attrs(attributes, right_values)
+        for right_tid, right_values, right_placeholders in conditional_matches:
             target_fields = [FieldRef(target, left_tid, a) for a in left_placeholders]
             right_fields = [FieldRef(right, right_tid, a) for a in right_placeholders]
             involved = target_fields + right_fields

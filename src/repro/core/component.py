@@ -77,6 +77,26 @@ class Component:
         probability = 1.0 / len(values)
         return cls((field,), [(v,) for v in values], [probability] * len(values))
 
+    def _derive(
+        self,
+        fields: Tuple[FieldRef, ...],
+        rows: List[Tuple[Any, ...]],
+        positions: Dict[FieldRef, int],
+    ) -> "Component":
+        """A component over this one's local worlds, built without re-validation.
+
+        For primitives whose result is valid by construction (same local
+        worlds and probabilities; distinct fields; rows of the new arity):
+        the constructor's distinctness check and position map would cost
+        O(fields) per call on wide components.
+        """
+        derived = Component.__new__(Component)
+        derived.fields = fields
+        derived.rows = rows
+        derived.probabilities = None if self.probabilities is None else list(self.probabilities)
+        derived._positions = positions
+        return derived
+
     # ------------------------------------------------------------------ #
     # Basic accessors
     # ------------------------------------------------------------------ #
@@ -156,9 +176,10 @@ class Component:
         if self.has_field(target):
             raise RepresentationError(f"field {target.label()} already defined by component")
         position = self.position(source)
-        fields = self.fields + (target,)
+        positions = dict(self._positions)
+        positions[target] = len(self.fields)
         rows = [row + (row[position],) for row in self.rows]
-        return Component(fields, rows, self.probabilities)
+        return self._derive(self.fields + (target,), rows, positions)
 
     def compose(self, other: "Component") -> "Component":
         """Relational product of two components (probabilities multiplied).
@@ -192,16 +213,20 @@ class Component:
         tuple_groups: Dict[Tuple[str, Any], List[int]] = {}
         for index, field in enumerate(self.fields):
             tuple_groups.setdefault((field.relation, field.tuple_id), []).append(index)
+        group_of = [tuple_groups[(f.relation, f.tuple_id)] for f in self.fields]
 
         new_rows: List[Tuple[Any, ...]] = []
         for row in self.rows:
+            bottoms = [p for p, value in enumerate(row) if value is BOTTOM]
+            if not bottoms:
+                new_rows.append(row)
+                continue
             values = list(row)
-            for positions in tuple_groups.values():
-                if any(values[p] is BOTTOM for p in positions):
-                    for p in positions:
-                        values[p] = BOTTOM
+            for p in bottoms:
+                for q in group_of[p]:
+                    values[q] = BOTTOM
             new_rows.append(tuple(values))
-        return Component(self.fields, new_rows, self.probabilities)
+        return self._derive(self.fields, new_rows, self._positions)
 
     def map_rows(self, transform: Callable[[Tuple[Any, ...]], Tuple[Any, ...]]) -> "Component":
         """Return a component with ``transform`` applied to every local world."""

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..relational.errors import RepresentationError
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
-from ..relational.values import BOTTOM, is_placeholder
+from ..relational.values import BOTTOM
 from .component import Component, compose_all
 from .fields import FieldRef
 from .uwsdt import UWSDT
@@ -186,25 +186,28 @@ def possible_relation(wsd: WSD, relation_name: str, result_name: str = "possible
 
 
 def _uwsdt_tuple_groups(uwsdt: UWSDT, relation_name: str):
-    """Yield, per template tuple, its certain values and (optionally) composed component.
+    """Split a relation's template tuples into certain rows and component groups.
 
-    Tuples sharing a component are grouped together so the independence
-    combination remains correct for correlated tuples.
+    Certain tuples — those without an entry in the placeholder mask — are
+    returned as plain value tuples.  Tuples with placeholders are grouped by
+    the components they touch, so the independence combination remains
+    correct for correlated tuples.
     """
     relation_schema = uwsdt.schema.relation(relation_name)
     attributes = relation_schema.attributes
 
-    certain_rows: List[Tuple[Any, Dict[str, Any]]] = []
+    mask = uwsdt.placeholder_mask(relation_name)
+    certain_rows: List[Tuple[Any, ...]] = []
     uncertain_rows: List[Tuple[Any, Dict[str, Any], List[FieldRef]]] = []
     for tuple_id, values in uwsdt.template_rows(relation_name):
-        value_map = dict(zip(attributes, values))
+        marked = mask.get(tuple_id)
+        if marked is None:
+            certain_rows.append(values)
+            continue
         placeholder_fields = [
-            FieldRef(relation_name, tuple_id, a) for a in attributes if is_placeholder(value_map[a])
+            FieldRef(relation_name, tuple_id, a) for a in attributes if a in marked
         ]
-        if placeholder_fields:
-            uncertain_rows.append((tuple_id, value_map, placeholder_fields))
-        else:
-            certain_rows.append((tuple_id, value_map))
+        uncertain_rows.append((tuple_id, dict(zip(attributes, values)), placeholder_fields))
 
     # Group uncertain tuples by the set of components they touch.
     component_groups: Dict[frozenset, List[Tuple[Any, Dict[str, Any], List[FieldRef]]]] = {}
@@ -245,8 +248,8 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
             order.append(row)
         confidences[row] = 1.0 - (1.0 - confidences[row]) * (1.0 - component_confidence)
 
-    for _, value_map in certain_rows:
-        note(tuple(value_map[a] for a in attributes), 1.0)
+    for values in certain_rows:
+        note(values, 1.0)
 
     for cids, entries in groups:
         composed = compose_all([uwsdt.components[cid] for cid in sorted(cids)])

@@ -20,6 +20,16 @@ reads them back), so the uniform encoding itself is also implemented and
 tested; the dictionary layout is an optimization the paper performs inside
 PostgreSQL with indexes on ``FID`` and ``CID``.
 
+``F`` is additionally indexed by ``(relation, tuple id)``: the per-relation
+*placeholder mask* (:meth:`placeholder_mask`) maps each tuple id that has
+``?`` fields to the set of those attributes.  Tuple ids absent from the
+mask are certain, so the algebra operators copy them with plain relational
+processing and never build a field reference or look up a component.  The
+mask, like the per-relation placeholder counts, is derived from ``F`` and
+updated only where ``F`` is (:meth:`_map_field` / :meth:`_unmap_field`);
+:meth:`replace_component` touches only the fields a component gained or
+lost, so extending a component by one field costs O(1) index upkeep.
+
 Tuple presence semantics follow the WSD convention: a template tuple is
 present in a chosen world unless one of its placeholder fields takes the
 ``⊥`` value in that world.
@@ -28,7 +38,8 @@ present in a chosen world unless one of its placeholder fields takes the
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..relational.database import Database
 from ..relational.errors import RepresentationError
@@ -46,9 +57,21 @@ from .wsdt import WSDT
 #: Name of the tuple-id column added to template relations.
 TID = "__tid__"
 
+#: The mask of a relation without placeholder fields.
+_EMPTY_MASK: Mapping[Any, Set[str]] = MappingProxyType({})
+
 
 class UWSDT:
-    """A uniform world-set decomposition with template relations."""
+    """A uniform world-set decomposition with template relations.
+
+    State: one template relation per represented relation, the components
+    by id, and ``F`` (``field_to_cid``) with two indexes derived from it —
+    per-relation placeholder counts and per-relation placeholder masks.
+    Mutate components only through :meth:`new_component`,
+    :meth:`replace_component`, :meth:`remove_component` and
+    :meth:`merge_components`, which keep ``F`` and both indexes in step;
+    :meth:`validate` checks all of them against the templates.
+    """
 
     def __init__(self, schema: Optional[DatabaseSchema] = None) -> None:
         self.schema = schema or DatabaseSchema()
@@ -62,6 +85,9 @@ class UWSDT:
         #: (the per-relation cardinality of ``F``); kept in sync by the
         #: component mutators below, read by :meth:`relation_placeholder_count`.
         self._placeholder_counts: Dict[str, int] = {}
+        #: Placeholder masks: ``relation -> tuple id -> placeholder attributes``
+        #: (``F`` indexed by relation and tuple id); same upkeep as the counts.
+        self._masks: Dict[str, Dict[Any, Set[str]]] = {}
         self._next_cid = 1
         #: Version-validated cache of template hash indexes (Section 5's
         #: "employing indices" on the fixed UWSDT schema).
@@ -94,7 +120,7 @@ class UWSDT:
                 f"template tuple for {relation_name!r} has arity {len(values)}, "
                 f"expected {relation_schema.arity}"
             )
-        self.templates[relation_name].insert((tuple_id,) + tuple(values))
+        self.templates[relation_name].insert_tuple((tuple_id,) + tuple(values))
 
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
@@ -109,41 +135,83 @@ class UWSDT:
         """
         return self._placeholder_counts.get(relation_name, 0)
 
+    def placeholder_mask(self, relation_name: str) -> Mapping[Any, Set[str]]:
+        """The placeholder mask of one relation: ``tuple id -> ? attributes``.
+
+        Tuple ids without an entry have no placeholder field: every value in
+        their template row is certain.  The mapping is live and read-only.
+        """
+        return self._masks.get(relation_name, _EMPTY_MASK)
+
     def _map_field(self, field: FieldRef, cid: int) -> None:
         self.field_to_cid[field] = cid
-        self._placeholder_counts[field.relation] = (
-            self._placeholder_counts.get(field.relation, 0) + 1
-        )
+        relation, tuple_id, attribute = field
+        self._placeholder_counts[relation] = self._placeholder_counts.get(relation, 0) + 1
+        mask = self._masks.get(relation)
+        if mask is None:
+            mask = self._masks[relation] = {}
+        marked = mask.get(tuple_id)
+        if marked is None:
+            mask[tuple_id] = {attribute}
+        else:
+            marked.add(attribute)
 
     def _unmap_field(self, field: FieldRef) -> None:
         if self.field_to_cid.pop(field, None) is not None:
-            self._placeholder_counts[field.relation] -= 1
+            relation, tuple_id, attribute = field
+            self._placeholder_counts[relation] -= 1
+            mask = self._masks[relation]
+            marked = mask[tuple_id]
+            marked.discard(attribute)
+            if not marked:
+                del mask[tuple_id]
 
-    def new_component(self, component: Component) -> int:
-        """Register a component and return its component id."""
-        cid = self._next_cid
-        self._next_cid += 1
-        self.components[cid] = component
-        for field in component.fields:
-            if field in self.field_to_cid:
-                raise RepresentationError(
-                    f"field {field.label()} already assigned to component {self.field_to_cid[field]}"
-                )
-            self._map_field(field, cid)
-        return cid
-
-    def replace_component(self, cid: int, component: Component) -> None:
-        """Replace the component stored under ``cid`` (fields must be unchanged or extended)."""
-        old = self.components[cid]
-        for field in old.fields:
-            self._unmap_field(field)
-        self.components[cid] = component
-        for field in component.fields:
-            existing = self.field_to_cid.get(field)
+    def _check_unassigned(self, fields: Iterable[FieldRef], cid: Optional[int] = None) -> None:
+        """Raise if any of ``fields`` already belongs to a component other than ``cid``."""
+        field_to_cid = self.field_to_cid
+        for field in fields:
+            existing = field_to_cid.get(field)
             if existing is not None and existing != cid:
                 raise RepresentationError(
                     f"field {field.label()} already assigned to component {existing}"
                 )
+
+    def new_component(self, component: Component) -> int:
+        """Register a component and return its component id."""
+        self._check_unassigned(component.fields)
+        cid = self._next_cid
+        self._next_cid += 1
+        self.components[cid] = component
+        for field in component.fields:
+            self._map_field(field, cid)
+        return cid
+
+    def replace_component(self, cid: int, component: Component) -> None:
+        """Replace the component stored under ``cid``.
+
+        Only the difference between the old and the new field set is
+        re-indexed: fields the new component adds are mapped, fields it
+        drops are unmapped.  The common case — ``ext`` appending fields to
+        the old ones — is recognized by a prefix comparison; any other
+        change (reordering by ``compose``, ``project_away``) falls back to a
+        set difference.  A field that already belongs to another component
+        raises before any state changes.
+        """
+        old_fields = self.components[cid].fields
+        new_fields = component.fields
+        if new_fields[: len(old_fields)] == old_fields:
+            added: Sequence[FieldRef] = new_fields[len(old_fields):]
+            removed: Sequence[FieldRef] = ()
+        else:
+            old_set = set(old_fields)
+            new_set = set(new_fields)
+            added = [field for field in new_fields if field not in old_set]
+            removed = [field for field in old_fields if field not in new_set]
+        self._check_unassigned(added, cid)
+        self.components[cid] = component
+        for field in removed:
+            self._unmap_field(field)
+        for field in added:
             self._map_field(field, cid)
 
     def remove_component(self, cid: int) -> None:
@@ -251,16 +319,28 @@ class UWSDT:
         }
 
     def validate(self) -> None:
-        """Check structural invariants (placeholder coverage, probability mass)."""
+        """Check structural invariants.
+
+        Every ``?`` cell has a component and no certain cell has one; the
+        placeholder mask equals the template's ``?`` cells tuple by tuple;
+        the per-relation placeholder counts equal a recount of ``F``; every
+        component is internally consistent and mapped in ``F``.
+        """
         for relation_schema in self.schema:
-            template = self.templates[relation_schema.name]
+            name = relation_schema.name
+            template = self.templates[name]
             tid_position = template.schema.position(TID)
+            positions = [template.schema.position(a) for a in relation_schema.attributes]
+            mask = self.placeholder_mask(name)
+            seen = set()
             for row in template:
                 tuple_id = row[tid_position]
-                for attribute in relation_schema.attributes:
-                    value = row[template.schema.position(attribute)]
-                    field = FieldRef(relation_schema.name, tuple_id, attribute)
-                    if is_placeholder(value):
+                seen.add(tuple_id)
+                placeholders = set()
+                for attribute, position in zip(relation_schema.attributes, positions):
+                    field = FieldRef(name, tuple_id, attribute)
+                    if is_placeholder(row[position]):
+                        placeholders.add(attribute)
                         if field not in self.field_to_cid:
                             raise RepresentationError(
                                 f"placeholder field {field.label()} has no component"
@@ -269,6 +349,24 @@ class UWSDT:
                         raise RepresentationError(
                             f"certain field {field.label()} should not be in a component"
                         )
+                if mask.get(tuple_id, set()) != placeholders:
+                    raise RepresentationError(
+                        f"placeholder mask of {name!r} tuple {tuple_id!r} is "
+                        f"{sorted(mask.get(tuple_id, ()))!r}, template has {sorted(placeholders)!r}"
+                    )
+            stray = [tuple_id for tuple_id in mask if tuple_id not in seen]
+            if stray:
+                raise RepresentationError(
+                    f"placeholder mask of {name!r} covers tuples {stray!r} missing from the template"
+                )
+        recount: Dict[str, int] = {}
+        for field in self.field_to_cid:
+            recount[field.relation] = recount.get(field.relation, 0) + 1
+        counts = {name: count for name, count in self._placeholder_counts.items() if count}
+        if counts != recount:
+            raise RepresentationError(
+                f"placeholder counts {counts!r} disagree with F's recount {recount!r}"
+            )
         for cid, component in self.components.items():
             component.validate()
             for field in component.fields:
@@ -387,6 +485,10 @@ class UWSDT:
             )
         result.field_to_cid = dict(self.field_to_cid)
         result._placeholder_counts = dict(self._placeholder_counts)
+        result._masks = {
+            relation: {tuple_id: set(marked) for tuple_id, marked in mask.items()}
+            for relation, mask in self._masks.items()
+        }
         result._next_cid = self._next_cid
         return result
 

@@ -99,6 +99,21 @@ class Relation:
             self._notify()
         return True
 
+    def insert_tuple(self, values: Row) -> bool:
+        """Insert a ready row: a tuple in schema order whose arity the caller checked.
+
+        Same set semantics, version bump and watchers as :meth:`insert`, minus
+        the per-row coercion — the append path of UWSDT template relations.
+        """
+        if values in self._row_set:
+            return False
+        self._row_set.add(values)
+        self._rows.append(values)
+        self._version += 1
+        if self._watchers:
+            self._notify()
+        return True
+
     def insert_many(self, rows: Iterable[Any]) -> int:
         """Insert several rows; return the number of newly inserted rows."""
         return sum(1 for row in rows if self.insert(row))

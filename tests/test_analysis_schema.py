@@ -18,6 +18,7 @@ from repro.analysis.schema import (
     ANY_TYPE,
     NUMBER,
     STRING,
+    TYPE_SAMPLE_ROWS,
     AnalysisError,
     InferredSchema,
     SchemaContext,
@@ -226,6 +227,46 @@ class TestInference:
 
     def test_column_types_mixed_becomes_any(self):
         assert column_types(("A",), [(1,), ("x",)]) == {"A": ANY_TYPE}
+
+    def test_engine_types_come_from_the_first_rows_only(self):
+        # Past the 128-row sample, a column turns to strings and another to
+        # placeholders: the inferred types stay those of the leading rows.
+        from repro.core import UWSDT
+        from repro.core.component import Component
+        from repro.core.fields import FieldRef
+
+        leading = [(i, "name", i % 3) for i in range(TYPE_SAMPLE_ROWS)]
+        rows = leading + [(f"late{i}", "name", PLACEHOLDER) for i in range(50)]
+        database = Database(
+            [
+                Relation(
+                    RelationSchema("T", ("A", "B", "C")),
+                    leading + [(f"late{i}", "name", "x") for i in range(50)],
+                )
+            ]
+        )
+        uwsdt = UWSDT()
+        uwsdt.add_relation(RelationSchema("T", ("A", "B", "C")))
+        for tid, row in enumerate(rows):
+            uwsdt.add_template_tuple("T", tid, row)
+            if row[2] is PLACEHOLDER:
+                uwsdt.new_component(Component.uniform(FieldRef("T", tid, "C"), (1, 2)))
+        expected = {"A": NUMBER, "B": STRING, "C": NUMBER}
+        assert column_types(("A", "B", "C"), leading) == expected
+        for engine in (database, uwsdt):
+            assert SchemaContext.from_engine(engine).relation_types("T") == expected
+
+        consumed = []
+        template_rows = uwsdt.template_rows
+
+        def counting(name):
+            for item in template_rows(name):
+                consumed.append(item)
+                yield item
+
+        uwsdt.template_rows = counting
+        assert SchemaContext.from_engine(uwsdt).relation_types("T") == expected
+        assert len(consumed) == TYPE_SAMPLE_ROWS
 
     def test_inferred_attributes_matches_context(self, context):
         query = BaseRelation("EMP").select(AttrConst("EID", "=", 1)).rename("EID", "X")

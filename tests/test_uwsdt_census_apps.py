@@ -88,6 +88,30 @@ class TestUWSDTStructure:
         with pytest.raises(RepresentationError):
             uwsdt.validate()
 
+    def test_validate_detects_corrupted_placeholder_mask(self, census_forms):
+        uwsdt = UWSDT.from_orset_relation(census_forms)
+        uwsdt.validate()
+        # The mask is F indexed by tuple id; corrupt it behind F's back.
+        missing = uwsdt.copy()
+        tuple_id = next(iter(missing.placeholder_mask("R")))
+        missing._masks["R"][tuple_id].clear()
+        with pytest.raises(RepresentationError, match="placeholder mask"):
+            missing.validate()
+        extra = uwsdt.copy()
+        next(iter(extra.placeholder_mask("R").values())).add("not-a-placeholder")
+        with pytest.raises(RepresentationError, match="placeholder mask"):
+            extra.validate()
+        stray = uwsdt.copy()
+        stray._masks["R"]["no-such-tuple"] = {"S"}
+        with pytest.raises(RepresentationError, match="placeholder mask"):
+            stray.validate()
+
+    def test_validate_detects_wrong_placeholder_count(self, census_forms):
+        uwsdt = UWSDT.from_orset_relation(census_forms)
+        uwsdt._placeholder_counts["R"] += 1
+        with pytest.raises(RepresentationError, match="placeholder counts"):
+            uwsdt.validate()
+
     def test_certain_world_skips_placeholder_tuples(self, census_forms):
         uwsdt = UWSDT.from_orset_relation(census_forms)
         assert len(uwsdt.certain_world().relation("R")) == 0  # both tuples are uncertain
