@@ -11,9 +11,15 @@ Which tuples carry placeholders is read from the input relations'
 placeholder masks (:meth:`UWSDT.placeholder_mask`, the ``F`` relation
 indexed by tuple id), never from the template values.  A tuple without a
 mask entry takes the *certain path*: the operator evaluates its condition
-on the template values, appends one result template tuple and moves on,
+on the template row and collects the result as a whole template tuple
+``(tid, *values)`` — the source row itself for selection and renaming —
 without building a field reference, looking up a component or calling
-``ext``.  Masked tuples go through the component machinery row at a time.
+``ext``.  Collected rows go to the result template in bulk
+(:meth:`UWSDT.extend_template`).  Masked tuples go through the component
+machinery row at a time; before a masked tuple's component work, its row
+joins the pending batch and the batch is flushed, so the result template,
+the component ids and the component field order are exactly those of a
+row-at-a-time evaluation.
 
 The selection algorithm follows Figure 16: the result template keeps the
 tuples that certainly satisfy the condition or have a placeholder on a
@@ -24,15 +30,17 @@ dropped from the result template again (lines 4–6 of the figure).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...relational.errors import RepresentationError, SchemaError
 from ...relational.predicates import AttrConst, Predicate
+from ...relational.relation import Row
 from ...relational.schema import RelationSchema
 from ...relational.values import BOTTOM, PLACEHOLDER
 from ..component import Component
 from ..fields import FieldRef
-from ..uwsdt import TID, UWSDT
+from ..uwsdt import UWSDT
 
 
 # --------------------------------------------------------------------------- #
@@ -45,6 +53,13 @@ def _in_schema_order(schema: RelationSchema, marked: Optional[AbstractSet[str]])
     if not marked:
         return []
     return sorted(marked, key=schema.position)
+
+
+def _flush(uwsdt: UWSDT, target: str, batch: List[Row]) -> None:
+    """Append the pending template rows of ``target`` in one call and empty the batch."""
+    if batch:
+        uwsdt.extend_template(target, batch)
+        batch.clear()
 
 
 def _copy_placeholder_fields(
@@ -104,10 +119,9 @@ def _tuple_deleted_everywhere(component: Component, relation: str, tuple_id: Any
 def _drop_result_tuple(uwsdt: UWSDT, relation: str, tuple_id: Any, attributes: Sequence[str]) -> None:
     """Remove a result tuple from the template and its fields from the components."""
     template = uwsdt.templates[relation]
-    tid_position = template.schema.position(TID)
     row_to_remove = None
     for row in template:
-        if row[tid_position] == tuple_id:
+        if row[0] == tuple_id:
             row_to_remove = row
             break
     if row_to_remove is not None:
@@ -142,8 +156,8 @@ def _merge_target_components(uwsdt: UWSDT, fields: Sequence[FieldRef]) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate):
-    """Candidate ``(tuple_id, values)`` rows for an equality selection, or None.
+def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate) -> Optional[List[Row]]:
+    """Candidate template rows for an equality selection, or None.
 
     A pushed-down selection ``σ_{A=c}`` only ever keeps template rows whose
     ``A`` field equals ``c`` or is the ``?`` placeholder, so instead of
@@ -157,11 +171,7 @@ def _equality_candidates(uwsdt: UWSDT, source: str, predicate: Predicate):
     except TypeError:
         return None
     index = uwsdt.template_index(source, predicate.attribute)
-    rows = index.lookup(predicate.constant) + index.lookup(PLACEHOLDER)
-    tid_position = uwsdt.templates[source].schema.position(TID)
-    return [
-        (row[tid_position], row[:tid_position] + row[tid_position + 1:]) for row in rows
-    ]
+    return index.lookup(predicate.constant) + index.lookup(PLACEHOLDER)
 
 
 def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None:
@@ -175,34 +185,39 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
 
     attributes = source_schema.attributes
     referenced = predicate.attributes()
-    referenced_positions = [source_schema.position(a) for a in referenced]
-    # Compile the condition once against the referenced-attribute layout: the
-    # certain path of Figure 16 is the hot loop on large templates.
-    reference_schema = RelationSchema(source, referenced) if referenced else None
-    compiled = predicate.compile(reference_schema) if referenced else None
+    template = uwsdt.templates[source]
+    # Compile the condition once against the template layout ``(tid, *values)``:
+    # the certain path of Figure 16 is the hot loop on large templates, and it
+    # keeps the source row objects themselves.
+    compiled = predicate.compile(template.schema) if referenced else None
 
     candidates = _equality_candidates(uwsdt, source, predicate)
-    if candidates is None:
-        candidates = uwsdt.template_rows(source)
+    rows = template if candidates is None else candidates
     mask = uwsdt.placeholder_mask(source)
+    batch: List[Row] = []
 
-    for tuple_id, values in candidates:
+    for row in rows:
+        tuple_id = row[0]
         marked = mask.get(tuple_id)
-        uncertain_refs = [a for a in referenced if a in marked] if marked else []
-        if not uncertain_refs:
+        if marked is None:
             # Line 1 of Figure 16: the condition is decided by the template alone.
-            if compiled is None or compiled(tuple(values[p] for p in referenced_positions)):
-                uwsdt.add_template_tuple(target, tuple_id, values)
-                if marked:
-                    placeholders = _in_schema_order(source_schema, marked)
-                    _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+            if compiled is None or compiled(row):
+                batch.append(row)
             continue
         placeholders = _in_schema_order(source_schema, marked)
-        value_map = dict(zip(attributes, values))
+        uncertain_refs = [a for a in referenced if a in marked]
+        if not uncertain_refs:
+            if compiled is None or compiled(row):
+                batch.append(row)
+                _flush(uwsdt, target, batch)
+                _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
+            continue
+        value_map = dict(zip(attributes, row[1:]))
 
         # The condition depends on uncertain fields: keep the tuple and filter
         # its local worlds (lines 2-6 of Figure 16).
-        uwsdt.add_template_tuple(target, tuple_id, values)
+        batch.append(row)
+        _flush(uwsdt, target, batch)
         _copy_placeholder_fields(uwsdt, source, tuple_id, target, tuple_id, placeholders)
         target_fields = [FieldRef(target, tuple_id, a) for a in uncertain_refs]
         cid = _merge_target_components(uwsdt, target_fields)
@@ -231,6 +246,7 @@ def select(uwsdt: UWSDT, source: str, target: str, predicate: Predicate) -> None
             uwsdt.replace_component(cid, component)
         if _tuple_deleted_everywhere(uwsdt.components[cid], target, tuple_id):
             _drop_result_tuple(uwsdt, target, tuple_id, placeholders)
+    _flush(uwsdt, target, batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -256,16 +272,18 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
 
     all_attributes = source_schema.attributes
     dropped = [a for a in all_attributes if a not in attributes]
-    kept_positions = [source_schema.position(a) for a in attributes]
+    # One C call builds a result template row ``(tid, *kept values)``.
+    kept_row = itemgetter(0, *[source_schema.position(a) + 1 for a in attributes])
     mask = uwsdt.placeholder_mask(source)
+    batch: List[Row] = []
 
-    for tuple_id, values in uwsdt.template_rows(source):
-        kept_values = [values[p] for p in kept_positions]
+    for row in uwsdt.templates[source]:
+        tuple_id = row[0]
         marked = mask.get(tuple_id)
         if marked is None:
-            uwsdt.add_template_tuple(target, tuple_id, kept_values)
+            batch.append(kept_row(row))
             continue
-        value_map = dict(zip(all_attributes, values))
+        value_map = dict(zip(all_attributes, row[1:]))
         kept_placeholders = [a for a in attributes if a in marked]
         dropped_placeholders = [a for a in dropped if a in marked]
 
@@ -279,14 +297,19 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
                 presence_fields.append(field)
 
         if not presence_fields:
-            uwsdt.add_template_tuple(target, tuple_id, kept_values)
-            _copy_placeholder_fields(
-                uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
-            )
+            batch.append(kept_row(row))
+            if kept_placeholders:
+                _flush(uwsdt, target, batch)
+                _copy_placeholder_fields(
+                    uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
+                )
+            # Otherwise only placeholders without presence information were
+            # dropped: the result tuple is certain and needs no component work.
             continue
 
         if kept_placeholders:
-            uwsdt.add_template_tuple(target, tuple_id, kept_values)
+            batch.append(kept_row(row))
+            _flush(uwsdt, target, batch)
             _copy_placeholder_fields(
                 uwsdt, source, tuple_id, target, tuple_id, kept_placeholders
             )
@@ -311,20 +334,22 @@ def project(uwsdt: UWSDT, source: str, target: str, attributes: Sequence[str]) -
         # All kept attributes are certain: turn the first kept attribute into a
         # placeholder that encodes tuple presence.
         presence_attr = attributes[0]
-        kept_values_with_placeholder = [
-            PLACEHOLDER if a == presence_attr else value_map[a] for a in attributes
-        ]
-        uwsdt.add_template_tuple(target, tuple_id, kept_values_with_placeholder)
+        batch.append(
+            (tuple_id,)
+            + tuple(PLACEHOLDER if a == presence_attr else value_map[a] for a in attributes)
+        )
+        _flush(uwsdt, target, batch)
         cid = uwsdt.merge_components([uwsdt.component_of(f) for f in presence_fields])
         component = uwsdt.components[cid]
         presence_positions = [component.position(f) for f in presence_fields]
         new_field = FieldRef(target, tuple_id, presence_attr)
         fields = component.fields + (new_field,)
         rows = []
-        for row in component.rows:
-            absent = any(row[p] is BOTTOM for p in presence_positions)
-            rows.append(row + (BOTTOM if absent else value_map[presence_attr],))
+        for local_world in component.rows:
+            absent = any(local_world[p] is BOTTOM for p in presence_positions)
+            rows.append(local_world + (BOTTOM if absent else value_map[presence_attr],))
         uwsdt.replace_component(cid, Component(fields, rows, component.probabilities))
+    _flush(uwsdt, target, batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -339,9 +364,15 @@ def rename(uwsdt: UWSDT, source: str, target: str, old: str, new: str) -> None:
     if uwsdt.schema.has_relation(target):
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(renamed_schema)
+    # Renaming changes no value and no tuple id: the result template shares
+    # the source's rows, appended in one call.  Only masked tuples reach ``ext``.
+    rows = uwsdt.templates[source].rows
+    uwsdt.extend_template(target, rows)
     mask = uwsdt.placeholder_mask(source)
-    for tuple_id, values in uwsdt.template_rows(source):
-        uwsdt.add_template_tuple(target, tuple_id, values)
+    if not mask:
+        return
+    for row in rows:
+        tuple_id = row[0]
         marked = mask.get(tuple_id)
         if marked is None:
             continue
@@ -362,15 +393,23 @@ def union(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     if uwsdt.schema.has_relation(target):
         raise SchemaError(f"relation {target!r} already exists")
     uwsdt.add_relation(RelationSchema(target, left_schema.attributes))
+    # Both sides' rows, retagged ``(side, tid)``, go to the result in one call;
+    # only masked tuples reach ``ext`` afterwards.
+    uwsdt.extend_template(
+        target,
+        [((side, row[0]),) + row[1:] for side in (left, right) for row in uwsdt.templates[side]],
+    )
     for side in (left, right):
         side_schema = uwsdt.schema.relation(side)
         mask = uwsdt.placeholder_mask(side)
-        for tuple_id, values in uwsdt.template_rows(side):
-            target_tid = (side, tuple_id)
-            uwsdt.add_template_tuple(target, target_tid, values)
+        if not mask:
+            continue
+        for row in uwsdt.templates[side]:
+            tuple_id = row[0]
             marked = mask.get(tuple_id)
             if marked is None:
                 continue
+            target_tid = (side, tuple_id)
             for attribute in _in_schema_order(side_schema, marked):
                 source_field = FieldRef(side, tuple_id, attribute)
                 target_field = FieldRef(target, target_tid, attribute)
@@ -390,15 +429,21 @@ def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
     uwsdt.add_relation(RelationSchema(target, target_schema.attributes))
     right_mask = uwsdt.placeholder_mask(right)
     right_rows = [
-        (right_tid, right_values, _in_schema_order(right_schema, right_mask.get(right_tid)))
-        for right_tid, right_values in uwsdt.template_rows(right)
+        (row[0], row[1:], _in_schema_order(right_schema, right_mask.get(row[0])))
+        for row in uwsdt.templates[right]
     ]
     left_mask = uwsdt.placeholder_mask(left)
-    for left_tid, left_values in uwsdt.template_rows(left):
+    batch: List[Row] = []
+    for left_row in uwsdt.templates[left]:
+        left_tid = left_row[0]
+        left_values = left_row[1:]
         left_placeholders = _in_schema_order(left_schema, left_mask.get(left_tid))
         for right_tid, right_values, right_placeholders in right_rows:
             target_tid = (left_tid, right_tid)
-            uwsdt.add_template_tuple(target, target_tid, left_values + right_values)
+            batch.append((target_tid,) + left_values + right_values)
+            if not left_placeholders and not right_placeholders:
+                continue
+            _flush(uwsdt, target, batch)
             for attribute in left_placeholders:
                 source_field = FieldRef(left, left_tid, attribute)
                 cid = uwsdt.component_of(source_field)
@@ -417,6 +462,7 @@ def product(uwsdt: UWSDT, left: str, right: str, target: str) -> None:
                         source_field, FieldRef(target, target_tid, attribute)
                     ),
                 )
+    _flush(uwsdt, target, batch)
 
 
 # --------------------------------------------------------------------------- #
@@ -461,47 +507,42 @@ def equi_join(
     right_position = right_schema.position(right_attr)
     left_position = left_schema.position(left_attr)
 
-    right_tid_position = uwsdt.templates[right].schema.position(TID)
-
-    def without_tid(row: Tuple[Any, ...]) -> Tuple[Any, Tuple[Any, ...]]:
-        return (
-            row[right_tid_position],
-            row[:right_tid_position] + row[right_tid_position + 1:],
-        )
-
     def right_candidates(right_tid: Any) -> Set[Any]:
         field = FieldRef(right, right_tid, right_attr)
         component = uwsdt.components[uwsdt.component_of(field)]
         return {v for v in component.column(field) if v is not BOTTOM}
 
+    # Right rows with a certain join value, as ``(tid, values, masked)``.
     template_index = None
-    certain_index: Dict[Any, List[Tuple[Any, Tuple[Any, ...]]]] = {}
-    uncertain_right: List[Tuple[Any, Tuple[Any, ...], Set[Any]]] = []
+    certain_index: Dict[Any, List[Tuple[Any, Row, bool]]] = {}
+    uncertain_right: List[Tuple[Any, Row, Set[Any]]] = []
     if use_template_index:
         template_index = uwsdt.template_index(right, right_attr)
         for row in template_index.lookup(PLACEHOLDER):
-            right_tid, right_values = without_tid(row)
-            uncertain_right.append((right_tid, right_values, right_candidates(right_tid)))
+            uncertain_right.append((row[0], row[1:], right_candidates(row[0])))
     else:
-        for right_tid, right_values in uwsdt.template_rows(right):
+        for row in uwsdt.templates[right]:
+            right_tid = row[0]
             marked = right_mask.get(right_tid)
             if marked is not None and right_attr in marked:
-                uncertain_right.append(
-                    (right_tid, right_values, right_candidates(right_tid))
-                )
+                uncertain_right.append((right_tid, row[1:], right_candidates(right_tid)))
             else:
-                certain_index.setdefault(right_values[right_position], []).append(
-                    (right_tid, right_values)
+                certain_index.setdefault(row[right_position + 1], []).append(
+                    (right_tid, row[1:], marked is not None)
                 )
 
-    def probe_certain(value: Any) -> List[Tuple[Any, Tuple[Any, ...]]]:
+    def probe_certain(value: Any) -> List[Tuple[Any, Row, bool]]:
         if template_index is not None:
             try:
                 hash(value)
             except TypeError:
                 return []
-            return [without_tid(row) for row in template_index.lookup(value)]
+            return [
+                (row[0], row[1:], row[0] in right_mask) for row in template_index.lookup(value)
+            ]
         return certain_index.get(value, [])
+
+    batch: List[Row] = []
 
     def emit(
         left_tid: Any,
@@ -511,12 +552,11 @@ def equi_join(
         right_values: Tuple[Any, ...],
         must_check: bool,
     ) -> None:
+        """Append one pair that involves a masked tuple, then do its component work."""
         target_tid = (left_tid, right_tid)
-        uwsdt.add_template_tuple(target, target_tid, left_values + right_values)
-        right_marked = right_mask.get(right_tid)
-        if not left_placeholders and right_marked is None:
-            return
-        right_placeholders = _in_schema_order(right_schema, right_marked)
+        batch.append((target_tid,) + left_values + right_values)
+        _flush(uwsdt, target, batch)
+        right_placeholders = _in_schema_order(right_schema, right_mask.get(right_tid))
         for attribute in left_placeholders:
             source_field = FieldRef(left, left_tid, attribute)
             cid = uwsdt.component_of(source_field)
@@ -566,12 +606,19 @@ def equi_join(
                 uwsdt, target, target_tid, left_placeholders + right_placeholders
             )
 
-    for left_tid, left_values in uwsdt.template_rows(left):
-        left_placeholders = _in_schema_order(left_schema, left_mask.get(left_tid))
+    for left_row in uwsdt.templates[left]:
+        left_tid = left_row[0]
+        left_values = left_row[1:]
+        left_marked = left_mask.get(left_tid)
+        left_placeholders = _in_schema_order(left_schema, left_marked)
         if left_attr not in left_placeholders:
             left_join_value = left_values[left_position]
-            for right_tid, right_values in probe_certain(left_join_value):
-                emit(left_tid, left_values, left_placeholders, right_tid, right_values, False)
+            for right_tid, right_values, right_masked in probe_certain(left_join_value):
+                if left_marked is None and not right_masked:
+                    # The certain path: neither side is masked.
+                    batch.append(((left_tid, right_tid),) + left_values + right_values)
+                else:
+                    emit(left_tid, left_values, left_placeholders, right_tid, right_values, False)
             for right_tid, right_values, candidates in uncertain_right:
                 if left_join_value in candidates:
                     emit(left_tid, left_values, left_placeholders, right_tid, right_values, True)
@@ -581,7 +628,7 @@ def equi_join(
             left_candidates = {v for v in component.column(field) if v is not BOTTOM}
             matched_right: Set[Any] = set()
             for value in left_candidates:
-                for right_tid, right_values in probe_certain(value):
+                for right_tid, right_values, _ in probe_certain(value):
                     if right_tid in matched_right:
                         continue
                     matched_right.add(right_tid)
@@ -589,6 +636,7 @@ def equi_join(
             for right_tid, right_values, candidates in uncertain_right:
                 if left_candidates & candidates:
                     emit(left_tid, left_values, left_placeholders, right_tid, right_values, True)
+    _flush(uwsdt, target, batch)
 
 
 # --------------------------------------------------------------------------- #

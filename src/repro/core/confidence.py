@@ -196,18 +196,20 @@ def _uwsdt_tuple_groups(uwsdt: UWSDT, relation_name: str):
     relation_schema = uwsdt.schema.relation(relation_name)
     attributes = relation_schema.attributes
 
+    template = uwsdt.templates[relation_name]
     mask = uwsdt.placeholder_mask(relation_name)
-    certain_rows: List[Tuple[Any, ...]] = []
+    certain_rows = [row[1:] for row in template if row[0] not in mask]
     uncertain_rows: List[Tuple[Any, Dict[str, Any], List[FieldRef]]] = []
-    for tuple_id, values in uwsdt.template_rows(relation_name):
-        marked = mask.get(tuple_id)
-        if marked is None:
-            certain_rows.append(values)
-            continue
-        placeholder_fields = [
-            FieldRef(relation_name, tuple_id, a) for a in attributes if a in marked
-        ]
-        uncertain_rows.append((tuple_id, dict(zip(attributes, values)), placeholder_fields))
+    if mask:
+        for row in template:
+            tuple_id = row[0]
+            marked = mask.get(tuple_id)
+            if marked is None:
+                continue
+            placeholder_fields = [
+                FieldRef(relation_name, tuple_id, a) for a in attributes if a in marked
+            ]
+            uncertain_rows.append((tuple_id, dict(zip(attributes, row[1:])), placeholder_fields))
 
     # Group uncertain tuples by the set of components they touch.
     component_groups: Dict[frozenset, List[Tuple[Any, Dict[str, Any], List[FieldRef]]]] = {}
@@ -239,17 +241,13 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
     """
     attributes, certain_rows, groups = _uwsdt_tuple_groups(uwsdt, relation_name)
 
-    confidences: Dict[Tuple[Any, ...], float] = {}
-    order: List[Tuple[Any, ...]] = []
+    # Every certain row is present in every world.  The dict keeps first-seen
+    # order, which is the answer order.
+    confidences: Dict[Tuple[Any, ...], float] = dict.fromkeys(certain_rows, 1.0)
 
     def note(row: Tuple[Any, ...], component_confidence: float) -> None:
-        if row not in confidences:
-            confidences[row] = 0.0
-            order.append(row)
-        confidences[row] = 1.0 - (1.0 - confidences[row]) * (1.0 - component_confidence)
-
-    for values in certain_rows:
-        note(values, 1.0)
+        previous = confidences.get(row, 0.0)
+        confidences[row] = 1.0 - (1.0 - previous) * (1.0 - component_confidence)
 
     for cids, entries in groups:
         composed = compose_all([uwsdt.components[cid] for cid in sorted(cids)])
@@ -278,7 +276,7 @@ def uwsdt_possible_with_confidence(uwsdt: UWSDT, relation_name: str) -> List[Ran
         for produced_row, component_confidence in per_row_matches.items():
             note(produced_row, min(component_confidence, 1.0))
 
-    return [(row, confidences[row]) for row in order]
+    return list(confidences.items())
 
 
 def uwsdt_possible(uwsdt: UWSDT, relation_name: str) -> List[Tuple[Any, ...]]:

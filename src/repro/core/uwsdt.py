@@ -12,13 +12,15 @@ values and the ``?`` placeholder for uncertain fields.
 
 This class keeps the same information in an equivalent, faster-to-access
 layout: template relations are substrate :class:`~repro.relational.relation.Relation`
-objects keyed by a tuple-id column, and the C/F/W content is held as a
-dictionary of :class:`~repro.core.component.Component` objects indexed by
-component id.  :meth:`to_uniform_relations` materializes the exact
-fixed-schema relations of the paper (and :meth:`from_uniform_relations`
-reads them back), so the uniform encoding itself is also implemented and
-tested; the dictionary layout is an optimization the paper performs inside
-PostgreSQL with indexes on ``FID`` and ``CID``.
+objects keyed by a tuple-id column, always the first one (a template row is
+``(tid, *values)``, appended in bulk by :meth:`extend_template`), and the
+C/F/W content is held as a dictionary of
+:class:`~repro.core.component.Component` objects indexed by component id.
+:meth:`to_uniform_relations` materializes the exact fixed-schema relations
+of the paper (and :meth:`from_uniform_relations` reads them back, moving an
+external template's tid column first), so the uniform encoding itself is
+also implemented and tested; the dictionary layout is an optimization the
+paper performs inside PostgreSQL with indexes on ``FID`` and ``CID``.
 
 ``F`` is additionally indexed by ``(relation, tuple id)``: the per-relation
 *placeholder mask* (:meth:`placeholder_mask`) maps each tuple id that has
@@ -100,6 +102,7 @@ class UWSDT:
     # ------------------------------------------------------------------ #
 
     def _init_template(self, relation_schema: RelationSchema) -> None:
+        # The tid column is always first: a template row is ``(tid, *values)``.
         template_schema = RelationSchema(
             relation_schema.name, (TID,) + relation_schema.attributes
         )
@@ -114,13 +117,24 @@ class UWSDT:
 
     def add_template_tuple(self, relation_name: str, tuple_id: Any, values: Sequence[Any]) -> None:
         """Add one template tuple (values may include ``PLACEHOLDER``)."""
-        relation_schema = self.schema.relation(relation_name)
-        if len(values) != relation_schema.arity:
+        self.extend_template(relation_name, [(tuple_id,) + tuple(values)])
+
+    def extend_template(self, relation_name: str, rows: Sequence[Tuple[Any, ...]]) -> None:
+        """Append whole template rows ``(tuple_id, *values)`` to one template, in order.
+
+        Every row's arity is checked; the rows then go to the template in one
+        :meth:`Relation.extend_tuples` call (set-semantics dedupe, one version
+        bump and one watcher call per batch).  The rows are stored as given,
+        so an operator can share its source's row tuples.
+        """
+        width = self.schema.relation(relation_name).arity + 1
+        if not all(map(width.__eq__, map(len, rows))):
+            bad = next(row for row in rows if len(row) != width)
             raise RepresentationError(
-                f"template tuple for {relation_name!r} has arity {len(values)}, "
-                f"expected {relation_schema.arity}"
+                f"template tuple for {relation_name!r} has arity {len(bad) - 1}, "
+                f"expected {width - 1}"
             )
-        self.templates[relation_name].insert_tuple((tuple_id,) + tuple(values))
+        self.templates[relation_name].extend_tuples(rows)
 
     def relation_placeholder_count(self, relation_name: str) -> int:
         """Number of ``?`` fields of one relation (its slice of ``F``).
@@ -240,9 +254,8 @@ class UWSDT:
         """Template value of a field (may be ``PLACEHOLDER``)."""
         template = self.templates[relation_name]
         position = template.schema.position(attribute)
-        tid_position = template.schema.position(TID)
         for row in template:
-            if row[tid_position] == tuple_id:
+            if row[0] == tuple_id:
                 return row[position]
         raise RepresentationError(
             f"tuple {tuple_id!r} not found in template of {relation_name!r}"
@@ -261,17 +274,8 @@ class UWSDT:
 
     def template_rows(self, relation_name: str) -> Iterator[Tuple[Any, Tuple[Any, ...]]]:
         """Yield ``(tuple_id, values)`` pairs of one template (values without the tid column)."""
-        template = self.templates[relation_name]
-        tid_position = template.schema.position(TID)
-        if tid_position == 0:
-            # The tid column is always stored first; slicing is much cheaper
-            # than filtering per field on wide (50-attribute) templates.
-            for row in template:
-                yield row[0], row[1:]
-            return
-        for row in template:
-            values = tuple(v for i, v in enumerate(row) if i != tid_position)
-            yield row[tid_position], values
+        for row in self.templates[relation_name]:
+            yield row[0], row[1:]
 
     # ------------------------------------------------------------------ #
     # Statistics (the columns of Figure 27 / Figure 28)
@@ -321,25 +325,29 @@ class UWSDT:
     def validate(self) -> None:
         """Check structural invariants.
 
-        Every ``?`` cell has a component and no certain cell has one; the
-        placeholder mask equals the template's ``?`` cells tuple by tuple;
-        the per-relation placeholder counts equal a recount of ``F``; every
-        component is internally consistent and mapped in ``F``.
+        Every template's tid column is its first; every ``?`` cell has a
+        component and no certain cell has one; the placeholder mask equals
+        the template's ``?`` cells tuple by tuple; the per-relation
+        placeholder counts equal a recount of ``F``; every component is
+        internally consistent and mapped in ``F``.
         """
         for relation_schema in self.schema:
             name = relation_schema.name
             template = self.templates[name]
-            tid_position = template.schema.position(TID)
-            positions = [template.schema.position(a) for a in relation_schema.attributes]
+            if template.schema.attributes != (TID,) + relation_schema.attributes:
+                raise RepresentationError(
+                    f"template of {name!r} has columns {template.schema.attributes!r}, "
+                    f"expected {TID!r} first and then {relation_schema.attributes!r}"
+                )
             mask = self.placeholder_mask(name)
             seen = set()
             for row in template:
-                tuple_id = row[tid_position]
+                tuple_id = row[0]
                 seen.add(tuple_id)
                 placeholders = set()
-                for attribute, position in zip(relation_schema.attributes, positions):
+                for attribute, value in zip(relation_schema.attributes, row[1:]):
                     field = FieldRef(name, tuple_id, attribute)
-                    if is_placeholder(row[position]):
+                    if is_placeholder(value):
                         placeholders.add(attribute)
                         if field not in self.field_to_cid:
                             raise RepresentationError(
@@ -400,8 +408,10 @@ class UWSDT:
     def from_relation(cls, relation: Relation, probabilistic: bool = True) -> "UWSDT":
         """A UWSDT of a fully certain relation (no placeholders at all)."""
         result = cls(DatabaseSchema([relation.schema]))
-        for index, row in enumerate(relation, start=1):
-            result.add_template_tuple(relation.schema.name, index, row)
+        result.extend_template(
+            relation.schema.name,
+            [(index,) + row for index, row in enumerate(relation, start=1)],
+        )
         return result
 
     @classmethod
@@ -426,14 +436,11 @@ class UWSDT:
         """
         result = cls(DatabaseSchema([orset.schema for orset in orsets]))
         for orset in orsets:
+            batch: List[Tuple[Any, ...]] = []
             for index, row in enumerate(orset.rows, start=1):
-                template_values: List[Any] = []
-                for attribute, value in zip(orset.schema.attributes, row):
-                    if is_or_set(value):
-                        template_values.append(PLACEHOLDER)
-                    else:
-                        template_values.append(value)
-                result.add_template_tuple(orset.schema.name, index, template_values)
+                batch.append(
+                    (index,) + tuple(PLACEHOLDER if is_or_set(value) else value for value in row)
+                )
                 for attribute, value in zip(orset.schema.attributes, row):
                     if is_or_set(value):
                         field = FieldRef(orset.schema.name, index, attribute)
@@ -446,6 +453,7 @@ class UWSDT:
                         else:
                             component = Component((field,), [(v,) for v in value.values], None)
                         result.new_component(component)
+            result.extend_template(orset.schema.name, batch)
         return result
 
     def to_wsdt(self) -> WSDT:

@@ -99,20 +99,32 @@ class Relation:
             self._notify()
         return True
 
-    def insert_tuple(self, values: Row) -> bool:
-        """Insert a ready row: a tuple in schema order whose arity the caller checked.
+    def extend_tuples(self, rows: Iterable[Row]) -> int:
+        """Append ready rows in order; return the number of newly inserted rows.
 
-        Same set semantics, version bump and watchers as :meth:`insert`, minus
-        the per-row coercion — the append path of UWSDT template relations.
+        ``rows`` are tuples in schema order whose arity the caller checked.
+        Set semantics are kept — rows already present and repeats within the
+        batch are skipped — but, unlike :meth:`insert`, there is no per-row
+        coercion, and a batch that adds anything makes one version bump and
+        one watcher call.  This is the append path of UWSDT template relations.
         """
-        if values in self._row_set:
-            return False
-        self._row_set.add(values)
-        self._rows.append(values)
+        row_set = self._row_set
+        add = row_set.add
+        size = len(row_set)
+        fresh: List[Row] = []
+        for row in rows:
+            # One hash per row: the set grows exactly when the row is new.
+            add(row)
+            if len(row_set) != size:
+                size += 1
+                fresh.append(row)
+        if not fresh:
+            return 0
+        self._rows.extend(fresh)
         self._version += 1
         if self._watchers:
             self._notify()
-        return True
+        return len(fresh)
 
     def insert_many(self, rows: Iterable[Any]) -> int:
         """Insert several rows; return the number of newly inserted rows."""
@@ -180,7 +192,7 @@ class Relation:
 
     @property
     def version(self) -> int:
-        """Mutation counter; bumped on every effective insert or remove.
+        """Mutation counter; bumped on every effective insert, remove or batch append.
 
         Secondary indexes cache against this value so they can tell whether
         the relation changed underneath them (see

@@ -58,6 +58,22 @@ class TestRelationVersion:
         )
         assert violations_of(check_relation_version, source) == []
 
+    def test_batch_append_without_bump_flagged(self):
+        source = (
+            "class Relation:\n"
+            "    def extend_tuples(self, rows):\n"
+            "        self._row_set.update(rows)\n"
+            "        self._rows.extend(rows)\n"
+            "        if self._watchers:\n"
+            "            self._notify()\n"
+        )
+        found = violations_of(check_relation_version, source)
+        assert [(v.rule, v.symbol) for v in found] == [
+            ("relation-version", "Relation.extend_tuples")
+        ]
+        bumped = source + "        self._version += 1\n"
+        assert violations_of(check_relation_version, bumped) == []
+
     def test_storage_rebinding_counts_as_mutation(self):
         source = (
             "class Relation:\n"

@@ -138,6 +138,57 @@ class TestRelation:
         assert a.row_set() == b.row_set()
 
 
+def watched(relation):
+    """The relation plus a list that records every watcher call."""
+    calls = []
+    relation.watch(calls.append)
+    return relation, calls
+
+
+class TestExtendTuples:
+    def test_appends_in_order_with_one_bump_and_one_watcher_call(self):
+        relation, calls = watched(Relation(RelationSchema("R", ("A", "B")), [(0, 0)]))
+        version = relation.version
+        assert relation.extend_tuples([(3, 1), (1, 2), (2, 3)]) == 3
+        assert relation.rows == ((0, 0), (3, 1), (1, 2), (2, 3))
+        assert relation.version == version + 1
+        assert calls == [relation]
+
+    def test_repeats_within_the_batch_are_kept_once_in_first_seen_order(self):
+        relation, calls = watched(Relation(RelationSchema("R", ("A",))))
+        assert relation.extend_tuples([(2,), (1,), (2,), (3,), (1,)]) == 3
+        assert relation.rows == ((2,), (1,), (3,))
+        assert relation.row_set() == {(1,), (2,), (3,)}
+        assert relation.version == 1
+        assert len(calls) == 1
+
+    def test_rows_already_present_are_skipped(self):
+        relation, calls = watched(Relation(RelationSchema("R", ("A",)), [(1,), (2,)]))
+        version = relation.version
+        assert relation.extend_tuples([(4,), (2,), (3,), (4,), (1,)]) == 2
+        assert relation.rows == ((1,), (2,), (4,), (3,))
+        assert relation.version == version + 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("batch", [[], [(1,), (2,), (1,)]], ids=["empty", "duplicates-only"])
+    def test_a_batch_that_adds_nothing_neither_bumps_nor_notifies(self, batch):
+        relation, calls = watched(Relation(RelationSchema("R", ("A",)), [(1,), (2,)]))
+        version = relation.version
+        assert relation.extend_tuples(batch) == 0
+        assert relation.rows == ((1,), (2,))
+        assert relation.version == version
+        assert calls == []
+
+    def test_matches_row_at_a_time_insert(self):
+        batch = [(i % 7, i % 3) for i in range(40)]
+        bulk = Relation(RelationSchema("R", ("A", "B")), [(0, 0), (6, 2)])
+        single = bulk.copy()
+        bulk.extend_tuples(batch)
+        for row in batch:
+            single.insert(row)
+        assert bulk.rows == single.rows
+
+
 class TestDatabase:
     def test_add_replace_drop(self, small_relation, departments):
         database = Database([small_relation])

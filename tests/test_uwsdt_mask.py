@@ -7,7 +7,8 @@ chase, ``copy()``, service-style writes, ``project_away`` drops and direct
 ``replace_component`` calls — must leave ``validate()`` (which compares the
 mask with the template's ``?`` cells) and a rebuilt ``F`` in agreement.
 The certain-path tests pin the performance contract: tuples without a mask
-entry never reach the component machinery.
+entry never reach the component machinery, and they reach the result
+template in bulk, in source order, as whole template rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from repro.core.algebra import uwsdt_ops
 from repro.core.chase import chase_uwsdt
 from repro.core.component import Component
 from repro.core.fields import FieldRef
-from repro.relational import InconsistentWorldSetError
+from repro.core.uwsdt import TID
+from repro.relational import InconsistentWorldSetError, Relation
 from repro.relational.errors import RepresentationError
 from repro.relational.predicates import AttrConst
 from repro.relational.schema import RelationSchema
@@ -265,6 +267,12 @@ def census_like(rows: int) -> UWSDT:
     return uwsdt
 
 
+def union_with_copy(uwsdt: UWSDT) -> None:
+    # ``R ∪ R`` would give both sides the tuple ids ``(R, t)``: copy first.
+    uwsdt_ops.rename(uwsdt, "R", "R2", "A", "A")
+    uwsdt_ops.union(uwsdt, "R", "R2", "out")
+
+
 QUERIES = {
     "select-range": lambda u: uwsdt_ops.select(u, "R", "out", AttrConst("A", "<", 3)),
     "select-eq": lambda u: uwsdt_ops.select(u, "R", "out", AttrConst("A", "=", 1)),
@@ -272,6 +280,8 @@ QUERIES = {
     "project": lambda u: uwsdt_ops.project(u, "R", "out", ["B", "C"]),
     "project-presence": lambda u: uwsdt_ops.project(u, "R", "out", ["C"]),
     "rename": lambda u: uwsdt_ops.rename(u, "R", "out", "A", "Z"),
+    "union": union_with_copy,
+    "product": lambda u: uwsdt_ops.product(u, "R", "S", "out"),
     "join-hash": lambda u: uwsdt_ops.equi_join(u, "R", "S", "A", "D", "out"),
     "join-index": lambda u: uwsdt_ops.equi_join(
         u, "R", "S", "A", "D", "out", use_template_index=True
@@ -279,7 +289,8 @@ QUERIES = {
 }
 
 
-def component_calls(rows: int, query) -> int:
+def component_calls(rows: int, query):
+    """Component-machinery calls, result-template version bumps and masked result tuples."""
     uwsdt = census_like(rows)
     calls = {"n": 0}
     for name in ("replace_component", "component_of"):
@@ -292,15 +303,117 @@ def component_calls(rows: int, query) -> int:
         setattr(uwsdt, name, counted)
     query(uwsdt)
     assert_consistent(uwsdt)
-    return calls["n"]
+    return calls["n"], uwsdt.templates["out"].version, len(uwsdt.placeholder_mask("out"))
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
 def test_certain_tuples_never_reach_the_component_machinery(query):
-    small = component_calls(50, QUERIES[query])
-    large = component_calls(2000, QUERIES[query])
-    assert small == large
+    small_calls, small_bumps, _ = component_calls(50, QUERIES[query])
+    large_calls, large_bumps, masked = component_calls(2000, QUERIES[query])
+    assert small_calls == large_calls
     # Each placeholder tuple may ext/merge/drop its two fields against at
     # most the five S tuples; nothing scales with the 2000 certain rows.
-    assert large <= 40 * PLACEHOLDER_TUPLES
+    assert large_calls <= 40 * PLACEHOLDER_TUPLES
+    # Certain rows reach the result template in bulk: one append per run of
+    # certain rows, ended by a masked tuple's flush or by the operator's end.
+    assert small_bumps == large_bumps
+    assert large_bumps <= masked + 1
 
+
+# --------------------------------------------------------------------------- #
+# Certain-path batches keep the row-at-a-time result template
+# --------------------------------------------------------------------------- #
+
+INTERLEAVED_ROWS = 16
+MASKED_AT = (2, 5, 8, 13)
+#: Queries whose result tuple ids are ``(R tid, S tid)`` pairs.
+PAIR_QUERIES = ("product", "join-hash", "join-index")
+
+
+def interleaved() -> UWSDT:
+    """R(A, B, C) with placeholder tuples between certain ones, and S(D, E)."""
+    uwsdt = UWSDT()
+    uwsdt.add_relation(RelationSchema("R", ("A", "B", "C")))
+    uwsdt.add_relation(RelationSchema("S", ("D", "E")))
+    for tid in range(INTERLEAVED_ROWS):
+        if tid in MASKED_AT:
+            uwsdt.add_template_tuple("R", tid, (PLACEHOLDER, PLACEHOLDER, tid))
+            uwsdt.new_component(Component.uniform(FieldRef("R", tid, "A"), (1, 2)))
+            uwsdt.new_component(Component.uniform(FieldRef("R", tid, "B"), (3, 4)))
+        else:
+            uwsdt.add_template_tuple("R", tid, (tid % 5, tid % 7, tid))
+    for value in range(5):
+        uwsdt.add_template_tuple("S", value, (value, value * 10))
+    return uwsdt
+
+
+def source_order(query: str, uwsdt: UWSDT):
+    """The order a row-at-a-time evaluation writes result tuple ids in."""
+    position = {
+        name: {row[0]: index for index, row in enumerate(uwsdt.templates[name])}
+        for name in ("R", "S")
+    }
+    if query == "select-eq":
+        # Candidates come from the template index: rows with the constant
+        # first, then the ``?`` rows, each group in template order.
+        placeholder_tids = set(uwsdt.placeholder_mask("R"))
+        return lambda tid: (tid in placeholder_tids, position["R"][tid])
+    if query == "union":
+        return lambda tid: (tid[0] != "R", position["R"][tid[1]])
+    if query in PAIR_QUERIES:
+        return lambda tid: (position["R"][tid[0]], position["S"][tid[1]])
+    return lambda tid: position["R"][tid]
+
+
+def r_tid(query: str, tid):
+    """The tuple id of the R tuple a result tuple comes from."""
+    if query == "union":
+        return tid[1]
+    return tid[0] if query in PAIR_QUERIES else tid
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_result_template_follows_the_source_interleaving(query):
+    uwsdt = interleaved()
+    QUERIES[query](uwsdt)
+    assert_consistent(uwsdt)
+    result_tids = [row[0] for row in uwsdt.templates["out"]]
+    assert result_tids == sorted(result_tids, key=source_order(query, uwsdt))
+    if query == "select-eq":
+        return  # the index puts every ``?`` row after the constant's rows
+    # Masked and certain source tuples really alternate in the result: some
+    # certain tuple's row comes after a masked tuple's row.
+    kinds = [r_tid(query, tid) in MASKED_AT for tid in result_tids]
+    assert True in kinds and False in kinds[kinds.index(True):]
+
+
+@pytest.mark.parametrize("query", ["select-range", "select-eq", "select-other", "rename"])
+def test_select_and_rename_share_the_source_row_objects(query):
+    uwsdt = interleaved()
+    source = {row[0]: row for row in uwsdt.templates["R"]}
+    QUERIES[query](uwsdt)
+    result = uwsdt.templates["out"].rows
+    assert result
+    assert all(row is source[row[0]] for row in result)
+
+
+def test_validate_requires_the_tid_column_first():
+    uwsdt = census_like(3)
+    uwsdt.templates["S"] = Relation(RelationSchema("S", ("D", TID, "E")), [(0, 0, 0)])
+    with pytest.raises(RepresentationError, match="expected '__tid__' first"):
+        uwsdt.validate()
+
+
+def test_from_uniform_relations_moves_an_external_tid_column_first():
+    uwsdt = census_like(3)
+    external = {
+        name: Relation(
+            RelationSchema(name, template.schema.attributes[1:] + (TID,)),
+            [row[1:] + (row[0],) for row in template],
+        )
+        for name, template in uwsdt.templates.items()
+    }
+    rebuilt = UWSDT.from_uniform_relations(uwsdt.schema, external, uwsdt.to_uniform_relations())
+    assert_consistent(rebuilt)
+    for name, template in uwsdt.templates.items():
+        assert rebuilt.templates[name].rows == template.rows
