@@ -132,63 +132,6 @@ def test_planned_vs_unplanned(benchmark, query_name, density, optimize):
 
 
 # --------------------------------------------------------------------------- #
-# Row vs columnar vs sharded backend: the same plans, three execution modes
-# --------------------------------------------------------------------------- #
-
-BACKENDS = ("row", "columnar", "sharded")
-
-#: Pool size of the sharded sweep points (also recorded in the JSON).
-SHARD_WORKERS = 2
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "density", PLANNER_DENSITIES, ids=[density_label(d) for d in PLANNER_DENSITIES]
-)
-def test_row_vs_columnar_vs_sharded_backend(benchmark, density, backend):
-    """One point of the backend sweep on the 4-way census join.
-
-    The same planned query executes row-at-a-time, through the columnar
-    kernels (certain subtrees run over ``ColumnBatch`` values between
-    Materialize/Dematerialize boundaries; uncertain subtrees stay on the
-    row path), and sharded (component-confined subtrees hash-partitioned
-    across a ``SHARD_WORKERS``-process pool between Exchange/Gather
-    boundaries).  Each backend appears as its own series in the benchmark
-    JSON, so ``plot_trajectory.py`` charts the gaps across runs.
-    """
-    rows = base_rows()
-    instance = census_instance(rows, density)
-    query = q_four_way_join()
-    workers = SHARD_WORKERS if backend == "sharded" else None
-
-    if density == 0.0:
-        database = instance.one_world_database()
-
-        def run():
-            return query.run(database, "result", backend=backend, workers=workers)
-
-        result = benchmark(run)
-        benchmark.extra_info["result_size"] = len(result)
-    else:
-        chased = _chased(rows, density)
-
-        def run():
-            working_copy = chased.copy()
-            query.run(working_copy, "result", backend=backend, workers=workers)
-            return working_copy
-
-        result = benchmark(run)
-        benchmark.extra_info["result_size"] = result.template_size("result")
-
-    benchmark.extra_info["rows"] = rows
-    benchmark.extra_info["density"] = density_label(density)
-    benchmark.extra_info["query"] = "Q4way"
-    benchmark.extra_info["backend"] = backend
-    if workers is not None:
-        benchmark.extra_info["workers"] = workers
-
-
-# --------------------------------------------------------------------------- #
 # Statistics catalog: repeated planning against an unchanged engine
 # --------------------------------------------------------------------------- #
 

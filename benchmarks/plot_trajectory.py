@@ -9,8 +9,7 @@ run's worth, or a directory of downloaded artifacts spanning many runs —
 and it renders the trajectory:
 
 * per-benchmark mean seconds over runs (planned vs unplanned, cold vs warm
-  planning, hash vs index-nested-loop join timings, row vs columnar
-  backend),
+  planning, hash vs index-nested-loop join timings),
 * the fitted cost constants per engine over runs,
 * the planner's chosen join orders and estimated-vs-actual join
   cardinalities carried in the benchmarks' ``extra_info``,
@@ -125,30 +124,6 @@ def load_metrics_runs(paths: Sequence[str]) -> List[Dict[str, Any]]:
     return runs
 
 
-def load_shard_runs(paths: Sequence[str]) -> List[Dict[str, Any]]:
-    """Load ``repro-shard-smoke`` documents (``SHARD_*.json``).
-
-    Each carries one row-backend wall time and a sharded run per worker
-    count, with the measured parallel speedup.
-    """
-    runs = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if document.get("format") != "repro-shard-smoke":
-            continue
-        runs.append(
-            {
-                "path": path,
-                "rows": document.get("rows"),
-                "query": document.get("query"),
-                "row_seconds": document.get("row_seconds"),
-                "sharded": document.get("sharded", []),
-            }
-        )
-    return runs
-
-
 def benchmark_key(benchmark: Dict[str, Any]) -> str:
     """A stable series key: test name with its parameter id."""
     return benchmark.get("fullname", benchmark.get("name", "?")).split("::")[-1]
@@ -188,7 +163,6 @@ def render_markdown(
     profile_runs: Sequence[Dict[str, Any]],
     service_runs: Sequence[Dict[str, Any]] = (),
     metrics_runs: Sequence[Dict[str, Any]] = (),
-    shard_runs: Sequence[Dict[str, Any]] = (),
 ) -> str:
     lines = ["# Benchmark & cost-profile trajectory", ""]
 
@@ -229,44 +203,6 @@ def render_markdown(
                 lines.append(f"- `{benchmark_key(benchmark)}`:")
                 for key, value in interesting.items():
                     lines.append(f"  - {key}: `{value}`")
-        lines.append("")
-
-        backend_rows = [
-            (
-                benchmark_key(b),
-                b.get("extra_info", {}).get("backend"),
-                b.get("stats", {}).get("mean"),
-            )
-            for b in latest["benchmarks"]
-            if b.get("extra_info", {}).get("backend")
-        ]
-        if backend_rows:
-            lines.append("## Row vs columnar vs sharded backend (latest run)")
-            lines.append("")
-            lines.append("| benchmark | backend | mean |")
-            lines.append("|---|---|---|")
-            for key, backend, mean in backend_rows:
-                lines.append(f"| `{key}` | {backend} | {_fmt(mean)} |")
-            lines.append("")
-
-    if shard_runs:
-        lines.append("## Parallel speedup vs workers (shard smoke)")
-        lines.append("")
-        lines.append("| run | rows | row backend | workers | sharded | speedup |")
-        lines.append("|---|---|---|---|---|---|")
-        for index, run in enumerate(shard_runs):
-            for point in run["sharded"]:
-                speedup = point.get("speedup")
-                lines.append(
-                    f"| {index + 1} (`{run['path']}`) | {run['rows']} "
-                    f"| {_fmt(run['row_seconds'])} | {point.get('workers')} "
-                    f"| {_fmt(point.get('seconds'))} "
-                    f"| {speedup:.2f}x |"
-                    if speedup is not None
-                    else f"| {index + 1} (`{run['path']}`) | {run['rows']} "
-                    f"| {_fmt(run['row_seconds'])} | {point.get('workers')} "
-                    f"| {_fmt(point.get('seconds'))} | — |"
-                )
         lines.append("")
 
     if profile_runs:
@@ -311,13 +247,7 @@ def render_markdown(
             )
         lines.append("")
 
-    if (
-        not bench_runs
-        and not profile_runs
-        and not service_runs
-        and not metrics_runs
-        and not shard_runs
-    ):
+    if not bench_runs and not profile_runs and not service_runs and not metrics_runs:
         lines.append("No artifacts found.")
     return "\n".join(lines) + "\n"
 
@@ -513,31 +443,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--metrics", nargs="*", default=[], help="METRICS_*.json registry snapshots"
     )
-    parser.add_argument(
-        "--shard", nargs="*", default=[], help="SHARD_*.json shard-smoke documents"
-    )
     parser.add_argument("--output", default="TRAJECTORY", help="output path prefix")
     args = parser.parse_args(argv)
 
-    requested = (
-        set(args.bench)
-        | set(args.profiles)
-        | set(args.service)
-        | set(args.metrics)
-        | set(args.shard)
-    )
+    requested = set(args.bench) | set(args.profiles) | set(args.service) | set(args.metrics)
     bench_paths = [path for path in args.bench if os.path.exists(path)]
     profile_paths = [path for path in args.profiles if os.path.exists(path)]
     service_paths = [path for path in args.service if os.path.exists(path)]
     metrics_paths = [path for path in args.metrics if os.path.exists(path)]
-    shard_paths = [path for path in args.shard if os.path.exists(path)]
-    found = (
-        set(bench_paths)
-        | set(profile_paths)
-        | set(service_paths)
-        | set(metrics_paths)
-        | set(shard_paths)
-    )
+    found = set(bench_paths) | set(profile_paths) | set(service_paths) | set(metrics_paths)
     for path in sorted(requested - found):
         print(f"warning: skipping missing artifact {path}")
 
@@ -545,15 +459,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     profile_runs = load_profile_runs(profile_paths)
     service_runs = load_service_runs(service_paths)
     metrics_runs = load_metrics_runs(metrics_paths)
-    shard_runs = load_shard_runs(shard_paths)
 
     markdown_path = f"{args.output}.md"
     with open(markdown_path, "w", encoding="utf-8") as handle:
-        handle.write(
-            render_markdown(
-                bench_runs, profile_runs, service_runs, metrics_runs, shard_runs
-            )
-        )
+        handle.write(render_markdown(bench_runs, profile_runs, service_runs, metrics_runs))
     print(f"wrote {markdown_path}")
 
     series = series_over_runs(bench_runs) if bench_runs else {}
@@ -565,32 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p95_metrics = [run["warm_p95"] for run in metrics_runs]
     if any(v is not None for v in p95_metrics):
         series["service warm p95 (metrics)"] = p95_metrics
-    # Shard-smoke wall times join the same chart: the row baseline plus one
-    # "parallel speedup vs workers" series per worker count.
-    if shard_runs:
-        rows_series = [run["row_seconds"] for run in shard_runs]
-        if any(v is not None for v in rows_series):
-            series["shard smoke: row backend"] = rows_series
-        worker_counts = sorted(
-            {
-                point.get("workers")
-                for run in shard_runs
-                for point in run["sharded"]
-                if point.get("workers") is not None
-            }
-        )
-        for count in worker_counts:
-            series[f"shard smoke: sharded workers={count}"] = [
-                next(
-                    (
-                        point.get("seconds")
-                        for point in run["sharded"]
-                        if point.get("workers") == count
-                    ),
-                    None,
-                )
-                for run in shard_runs
-            ]
     svg_path = f"{args.output}.svg"
     if not render_svg_matplotlib(series, "benchmark trajectory (mean seconds)", svg_path):
         with open(svg_path, "w", encoding="utf-8") as handle:

@@ -16,13 +16,13 @@ checks them statically, at plan-construction time:
 * :mod:`~repro.analysis.invariants` — the plan-invariant verifier: every
   rewrite-rule output is checked against the pre-rewrite inferred schema
   (rewrites must be schema-preserving) and every lowered physical plan for
-  structural well-formedness (Materialize/Dematerialize pairing, join key
+  structural well-formedness (attribute resolution, join key
   compatibility, index applicability, backend-kind consistency).  Enabled
   by ``REPRO_VERIFY_PLANS=1``; the tier-1 suite turns it on globally.
 * :mod:`~repro.analysis.certainty` — an abstract-interpretation pass
   propagating per-attribute certain/maybe-placeholder facts through logical
-  trees.  Columnar eligibility is decided by this analysis, and
-  ``explain()`` renders its per-node verdicts.
+  trees; ``explain()`` and ``explain_analyze`` render its per-node
+  verdicts.
 * :mod:`~repro.analysis.lint` — Python-AST lint rules specific to this
   repository (``python -m repro.analysis --lint``), with a checked-in
   baseline so CI fails only on *new* violations.

@@ -8,19 +8,13 @@ three-point lattice per relation/attribute:
 * ``unknown`` — the analysis has no information about the source.
 
 Facts originate at base relations — from the catalog's placeholder
-densities (``density == 0`` ⇒ certain) or from a live probe such as
-:meth:`~repro.core.exec.columnar.ColumnarBackend.certain_base` — and
-propagate structurally: σ and π keep facts, δ relabels them, × / ⋈
+densities (``density == 0`` ⇒ certain) or from a caller-supplied probe —
+and propagate structurally: σ and π keep facts, δ relabels them, × / ⋈
 concatenate, ∪ takes the pointwise least upper bound, − / ∩ keep the left
 side's facts.
 
-This pass is the single decision point for columnar eligibility: an
-operator may run a vectorized kernel exactly when
-:func:`subtree_certain` holds for the base relations under it.  The
-runtime materialize fallback in the columnar backend remains only as
-defense-in-depth against plans cached before an engine mutation (and is
-counted in ``repro.columnar.materialize_fallbacks`` when it fires).
-``Plan.explain()`` and ``explain_analyze`` render each node's verdict.
+The verdicts are diagnostic: ``Plan.explain()`` and ``explain_analyze``
+render each node's verdict as ``[certain]`` / ``[maybe]``.
 """
 
 from __future__ import annotations
@@ -75,12 +69,6 @@ class CertaintyContext:
     def from_statistics(cls, statistics: Any) -> "CertaintyContext":
         return cls(densities=statistics.placeholder_densities)
 
-    @classmethod
-    def from_probe(cls, probe: Callable[[str], bool]) -> "CertaintyContext":
-        """Context over a live certainty probe (columnar lowering uses
-        ``ColumnarBackend.certain_base``: a probe never answers unknown)."""
-        return cls(probe=probe)
-
     def relation(self, name: str) -> str:
         cached = self._cache.get(name)
         if cached is not None:
@@ -104,17 +92,6 @@ class CertaintyContext:
 
     def __repr__(self) -> str:
         return f"CertaintyContext({sorted(self._densities)})"
-
-
-def subtree_certain(base_relations: Sequence[str], context: CertaintyContext) -> bool:
-    """Columnar eligibility: every source relation provably certain.
-
-    An empty relation list (a hand-built plan without provenance) is *not*
-    eligible — the analysis cannot vouch for sources it cannot see.
-    """
-    if not base_relations:
-        return False
-    return all(context.relation(name) == CERTAIN for name in base_relations)
 
 
 # --------------------------------------------------------------------------- #
@@ -185,8 +162,7 @@ def attribute_facts(
 def node_certainty(query: Query, context: CertaintyContext) -> Dict[int, str]:
     """Relation-level fact per node, keyed by ``id(node)``.
 
-    A node's fact is the lub over the base relations its subtree reads —
-    exactly the quantity columnar eligibility is decided on.
+    A node's fact is the lub over the base relations its subtree reads.
     """
     facts: Dict[int, str] = {}
 

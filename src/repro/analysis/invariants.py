@@ -16,12 +16,9 @@ checked):
   is checked for: attribute resolution through every operator (the same
   checks as the logical analyzer), hash-join/INLJ key compatibility,
   ``IndexScan`` only where the backend can probe an index (hashable
-  equality predicate over a stored relation), ``Materialize`` /
-  ``Dematerialize`` properly paired (batch regions open with Materialize,
-  close with Dematerialize, contain only vectorized-kernel operators, and
-  sit over provably-certain subtrees), and the plan's engine kind matching
-  the backend that will execute it.  The plan cache re-checks kind
-  consistency when serving entries.
+  equality predicate over a stored relation), and the plan's engine kind
+  matching the backend that will execute it.  The plan cache checks that
+  every plan it stores or serves was lowered for its own engine's kind.
 
 Violations raise :class:`PlanInvariantError`.  Verification is off by
 default in library use (zero overhead beyond one truthiness check); tests
@@ -31,20 +28,16 @@ and the CI suite run with it on.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from ..relational.errors import QueryError
 from ..core.exec.physical import (
-    Dematerialize,
     Difference,
-    Exchange,
     Filter,
-    Gather,
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
     Intersection,
-    Materialize,
     PhysicalOperator,
     PhysicalPlan,
     Product,
@@ -57,18 +50,6 @@ from .schema import SchemaContext, inferred_attributes
 
 #: Environment variable that switches verification on (``1``/``true``/...).
 VERIFY_ENV = "REPRO_VERIFY_PLANS"
-
-#: Operators allowed inside a columnar batch region (must mirror
-#: ``repro.core.exec.columnar.COLUMNAR_KERNEL_OPS``).
-KERNEL_OPS = frozenset(
-    {"Filter", "Project", "Rename", "HashJoin", "Union", "Difference", "Intersection"}
-)
-
-#: Operators allowed inside an ``Exchange`` shard subtree (must mirror
-#: ``repro.core.exec.shard.SHARDABLE_OPS``): per-tuple operators only —
-#: anything that merges components across distinct base tuples must run
-#: above the Gather, on the merged engine.
-SHARDABLE_OPS = frozenset({"Scan", "IndexScan", "Filter", "Project", "Rename"})
 
 _OVERRIDE: Optional[bool] = None
 _REWRITES_VERIFIED = 0
@@ -168,15 +149,13 @@ def verify_physical(
     plan: PhysicalPlan,
     backend: Any = None,
     schema_context: Optional[SchemaContext] = None,
-    certain_base: Optional[Callable[[str], bool]] = None,
 ) -> None:
     """Check a lowered plan's structural well-formedness.
 
     ``backend`` (optional) contributes capability checks — engine-kind
     match, index support; ``schema_context`` contributes attribute
-    resolution; ``certain_base`` (optional, the columnar backend's probe)
-    lets the verifier confirm Materialize only sits over certain subtrees.
-    Any information not supplied simply disables the checks that need it.
+    resolution.  Any information not supplied simply disables the checks
+    that need it.
     """
     global _PLANS_VERIFIED
     _PLANS_VERIFIED += 1
@@ -187,46 +166,11 @@ def verify_physical(
             f"plan lowered for engine kind {plan.engine!r} paired with a "
             f"{backend.kind!r} backend"
         )
-    columnar_plan = plan.engine == "columnar"
-    sharded_plan = plan.engine == "sharded"
 
-    def visit(node: PhysicalOperator) -> Tuple[Optional[Tuple[str, ...]], str]:
-        """Returns ``(attributes or None, handle kind)`` for the subtree;
-        ``kind`` is ``"row"`` or ``"batch"``."""
-        if isinstance(node, (Materialize, Dematerialize)) and not columnar_plan:
-            _fail(
-                plan,
-                node,
-                f"{node.op_name} in a {plan.engine!r} plan — boundaries belong "
-                "to columnar plans only",
-            )
-        if isinstance(node, (Exchange, Gather)) and not sharded_plan:
-            _fail(
-                plan,
-                node,
-                f"{node.op_name} in a {plan.engine!r} plan — shard boundaries "
-                "belong to sharded plans only",
-            )
-        if isinstance(node, Gather):
-            exchange = node.children[0]
-            if not isinstance(exchange, Exchange):
-                _fail(plan, node, "Gather must sit directly over an Exchange")
-            for inner in exchange.children[0].walk():
-                if inner.op_name not in SHARDABLE_OPS:
-                    _fail(
-                        plan,
-                        node,
-                        f"{inner.op_name} inside an Exchange subtree — only "
-                        "per-tuple (component-confined) operators may shard",
-                    )
-            attrs, kind = visit(exchange.children[0])
-            if kind != "row":
-                _fail(plan, node, "Exchange subtree must produce a row handle")
-            return attrs, "row"
-        if isinstance(node, Exchange):
-            _fail(plan, node, "Exchange without an enclosing Gather")
+    def visit(node: PhysicalOperator) -> Optional[Tuple[str, ...]]:
+        """The subtree's output attributes, or None when unknown."""
         if isinstance(node, Scan):
-            return context.relation_attributes(node.relation), "row"
+            return context.relation_attributes(node.relation)
         if isinstance(node, IndexScan):
             if backend is not None and not backend.supports_index_scan:
                 _fail(plan, node, "IndexScan on a backend without index support")
@@ -247,7 +191,7 @@ def verify_physical(
                             f"IndexScan predicate references {attribute!r}, not an "
                             f"attribute of {node.relation!r} {tuple(attrs)!r}",
                         )
-            return attrs, "row"
+            return attrs
         if isinstance(node, IndexNestedLoopJoin):
             if not isinstance(node.inner, Scan):
                 _fail(
@@ -259,9 +203,7 @@ def verify_physical(
                 _fail(
                     plan, node, "IndexNestedLoopJoin on a backend without index joins"
                 )
-            outer_attrs, outer_kind = visit(node.outer)
-            if outer_kind != "row":
-                _fail(plan, node, "IndexNestedLoopJoin outer input must be a row handle")
+            outer_attrs = visit(node.outer)
             inner_attrs = context.relation_attributes(node.inner.relation)
             if outer_attrs is not None and node.left_attr not in outer_attrs:
                 _fail(
@@ -278,42 +220,12 @@ def verify_physical(
                     f"{node.inner.relation!r} {tuple(inner_attrs)!r}",
                 )
             if outer_attrs is None or inner_attrs is None:
-                return None, "row"
-            return outer_attrs + inner_attrs, "row"
-        if isinstance(node, Materialize):
-            child_attrs, child_kind = visit(node.children[0])
-            if child_kind != "row":
-                _fail(plan, node, "Materialize over a batch handle (double boundary)")
-            if certain_base is not None and node.base_relation_names:
-                for name in node.base_relation_names:
-                    if not certain_base(name):
-                        _fail(
-                            plan,
-                            node,
-                            f"Materialize over subtree reading uncertain relation "
-                            f"{name!r} — kernels only run over certain subtrees",
-                        )
-            return child_attrs, "batch"
-        if isinstance(node, Dematerialize):
-            child_attrs, child_kind = visit(node.children[0])
-            if child_kind != "batch":
-                _fail(plan, node, "Dematerialize over a row handle (unpaired boundary)")
-            return child_attrs, "row"
+                return None
+            return outer_attrs + inner_attrs
 
         results = [visit(child) for child in node.children]
-        kinds = {kind for _, kind in results}
-        if len(kinds) > 1:
-            _fail(plan, node, f"{node.op_name} mixes batch and row inputs")
-        kind = kinds.pop() if kinds else "row"
-        if kind == "batch" and node.op_name not in KERNEL_OPS:
-            _fail(
-                plan,
-                node,
-                f"{node.op_name} consumes a batch but has no vectorized kernel",
-            )
-
         if isinstance(node, Filter):
-            attrs = results[0][0]
+            attrs = results[0]
             if attrs is not None:
                 for attribute in node.predicate.attributes():
                     if attribute not in attrs:
@@ -323,9 +235,9 @@ def verify_physical(
                             f"filter predicate references {attribute!r}, not in the "
                             f"input schema {tuple(attrs)!r}",
                         )
-            return attrs, kind
+            return attrs
         if isinstance(node, Project):
-            attrs = results[0][0]
+            attrs = results[0]
             if attrs is not None:
                 for attribute in node.attributes:
                     if attribute not in attrs:
@@ -335,11 +247,11 @@ def verify_physical(
                             f"projection references {attribute!r}, not in the input "
                             f"schema {tuple(attrs)!r}",
                         )
-            return tuple(node.attributes), kind
+            return tuple(node.attributes)
         if isinstance(node, Rename):
-            attrs = results[0][0]
+            attrs = results[0]
             if attrs is None:
-                return None, kind
+                return None
             if node.old not in attrs:
                 _fail(
                     plan,
@@ -353,9 +265,9 @@ def verify_physical(
                     f"rename {node.old!r}→{node.new!r} collides with an existing "
                     f"attribute in {tuple(attrs)!r}",
                 )
-            return tuple(node.new if a == node.old else a for a in attrs), kind
+            return tuple(node.new if a == node.old else a for a in attrs)
         if isinstance(node, HashJoin):
-            left_attrs, right_attrs = results[0][0], results[1][0]
+            left_attrs, right_attrs = results[0], results[1]
             if left_attrs is not None and node.left_attr not in left_attrs:
                 _fail(
                     plan,
@@ -371,10 +283,10 @@ def verify_physical(
                     f"{tuple(right_attrs)!r}",
                 )
             if left_attrs is None or right_attrs is None:
-                return None, kind
-            return left_attrs + right_attrs, kind
+                return None
+            return left_attrs + right_attrs
         if isinstance(node, Product):
-            left_attrs, right_attrs = results[0][0], results[1][0]
+            left_attrs, right_attrs = results[0], results[1]
             if left_attrs is not None and right_attrs is not None:
                 overlap = set(left_attrs) & set(right_attrs)
                 if overlap:
@@ -383,10 +295,10 @@ def verify_physical(
                         node,
                         f"product sides share attributes {sorted(overlap)!r}",
                     )
-                return left_attrs + right_attrs, kind
-            return None, kind
+                return left_attrs + right_attrs
+            return None
         if isinstance(node, (Union, Difference, Intersection)):
-            left_attrs, right_attrs = results[0][0], results[1][0]
+            left_attrs, right_attrs = results[0], results[1]
             if left_attrs is not None and right_attrs is not None:
                 if tuple(left_attrs) != tuple(right_attrs):
                     _fail(
@@ -395,19 +307,11 @@ def verify_physical(
                         f"{node.op_name} inputs are not union-compatible: "
                         f"{tuple(left_attrs)!r} vs {tuple(right_attrs)!r}",
                     )
-            return (
-                left_attrs if left_attrs is not None else right_attrs,
-                kind,
-            )
+            return left_attrs if left_attrs is not None else right_attrs
         # Unknown / future operator kinds: nothing to check structurally.
-        return None, kind
+        return None
 
-    _, root_kind = visit(plan.root)
-    if root_kind != "row":
-        raise PlanInvariantError(
-            "physical plan root produces a batch handle — the final "
-            f"Dematerialize boundary is missing\n{plan.explain()}"
-        )
+    visit(plan.root)
 
 
 # --------------------------------------------------------------------------- #
@@ -415,22 +319,14 @@ def verify_physical(
 # --------------------------------------------------------------------------- #
 
 
-def verify_cached_backend(
-    entry_backend: str, physical_engine: str, valid_kinds: Sequence[str]
-) -> None:
-    """Assert a plan-cache entry's recorded backend kind is coherent.
+def verify_cached_backend(physical_engine: str, cache_engine: str) -> None:
+    """Assert a plan-cache entry was lowered for its cache's engine kind.
 
-    The entry's ``backend`` must equal the engine kind its physical plan was
-    lowered for, and that kind must be one the owning engine can execute
-    (its row backend kind, or ``columnar``).
+    A cache belongs to one engine and is keyed by query fingerprint alone,
+    so a plan lowered for any other kind must never enter or leave it.
     """
-    if entry_backend != physical_engine:
+    if physical_engine != cache_engine:
         raise PlanInvariantError(
-            f"plan-cache entry records backend {entry_backend!r} but its "
-            f"physical plan was lowered for {physical_engine!r}"
-        )
-    if entry_backend not in valid_kinds:
-        raise PlanInvariantError(
-            f"plan-cache entry backend {entry_backend!r} is not executable "
-            f"by this engine (valid kinds: {tuple(valid_kinds)!r})"
+            f"plan-cache entry was lowered for {physical_engine!r}, but the "
+            f"cache belongs to a {cache_engine!r} engine"
         )

@@ -16,12 +16,6 @@ the four that have bitten (or nearly bitten) before:
 * ``watch-release`` — a module that registers ``Relation.watch`` hooks
   must also call ``unwatch`` somewhere: an unreleased hook pins the
   watcher (and its engine) for the relation's lifetime.
-* ``picklable-plan`` — subclasses of ``PhysicalOperator`` / ``Predicate``
-  must not store lambdas, open handles or engine/backend references on
-  ``self``: physical plans are pickled wholesale to the sharded worker
-  pool, and an unpicklable operator forces every shard onto the
-  in-process fallback path (or, for an engine reference, ships the whole
-  engine to every worker).
 
 Findings are compared against a checked-in baseline
 (``lint_baseline.json`` next to this module): pre-existing violations are
@@ -72,15 +66,6 @@ BLOCKING_CALLS = frozenset(
 BLOCKING_METHODS = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
-
-#: Root classes whose subclasses travel inside pickled ``PhysicalPlan``
-#: payloads to the sharded worker pool.
-PLAN_STATE_ROOTS = ("PhysicalOperator", "Predicate")
-
-#: Parameter / attribute names that denote an engine or backend object —
-#: state a plan operator must never capture (the plan would drag the whole
-#: engine through pickle on every shard dispatch).
-ENGINE_REFERENCE_NAMES = frozenset({"engine", "backend"})
 
 #: The format tag written into baselines and reports.
 BASELINE_FORMAT = "repro-lint-baseline/1"
@@ -343,89 +328,11 @@ def check_watch_release(tree: ast.Module, path: str) -> List[Violation]:
     return []
 
 
-def _unpicklable_reason(value: ast.AST) -> Optional[str]:
-    """Why an assigned value cannot travel through pickle, or None."""
-    for node in ast.walk(value):
-        if isinstance(node, ast.Lambda):
-            return "a lambda (pickle cannot serialize it)"
-        if isinstance(node, ast.Call):
-            dotted = _dotted_name(node.func)
-            if (isinstance(node.func, ast.Name) and node.func.id == "open") or dotted in (
-                "io.open",
-                "os.fdopen",
-            ):
-                return "an open file handle"
-        if isinstance(node, ast.Name) and node.id in ENGINE_REFERENCE_NAMES:
-            return f"an engine/backend reference ({node.id})"
-        if isinstance(node, ast.Attribute) and node.attr in ENGINE_REFERENCE_NAMES:
-            return f"an engine/backend reference (.{node.attr})"
-    return None
-
-
-def check_picklable_plan_state(tree: ast.Module, path: str) -> List[Violation]:
-    """Plan operators and predicates must stay picklable.
-
-    The sharded backend ships ``(shard engine, subtree)`` payloads through a
-    ``ProcessPoolExecutor``; a lambda, an open handle or a captured
-    engine/backend object on any operator or predicate breaks (or bloats)
-    that path for every query whose plan contains the node.
-    """
-    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    bases = {
-        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
-        for node in classes
-    }
-    plan_classes: Set[str] = set(PLAN_STATE_ROOTS)
-    changed = True
-    while changed:  # transitive subclasses within the module
-        changed = False
-        for name, parents in bases.items():
-            if name not in plan_classes and parents & plan_classes:
-                plan_classes.add(name)
-                changed = True
-
-    violations: List[Violation] = []
-    for class_node in classes:
-        if class_node.name not in plan_classes:
-            continue
-        for method in class_node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Assign):
-                    continue
-                stores_on_self = any(
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    for target in node.targets
-                )
-                if not stores_on_self:
-                    continue
-                reason = _unpicklable_reason(node.value)
-                if reason is not None:
-                    violations.append(
-                        Violation(
-                            rule="picklable-plan",
-                            path=path,
-                            line=node.lineno,
-                            symbol=f"{class_node.name}.{method.name}",
-                            message=(
-                                f"stores {reason} on plan operator/predicate "
-                                "state — physical plans are pickled to the "
-                                "sharded worker pool"
-                            ),
-                        )
-                    )
-    return violations
-
-
 RULES = (
     check_relation_version,
     check_locked_state,
     check_async_blocking,
     check_watch_release,
-    check_picklable_plan_state,
 )
 
 

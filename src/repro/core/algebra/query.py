@@ -163,35 +163,21 @@ class Query:
         optimize: bool,
         plan: Optional["Plan"],
         force_join: Optional[str] = None,
-        backend: Any = None,
-        workers: Optional[int] = None,
     ) -> "Tuple[EngineBackend, PhysicalPlan]":
-        """Resolve the executable tree and lower it for ``engine``'s backend.
-
-        ``backend`` is the user-facing spec (``"row"`` / ``"columnar"`` /
-        ``"sharded"`` / ``"auto"`` / None for the ``REPRO_BACKEND``
-        environment variable, or an already-constructed
-        :class:`~repro.core.exec.EngineBackend`).  ``workers`` sizes the
-        sharded backend's worker pool (and lets ``"auto"`` consider it).
-        """
-        from ..exec import backend_for, lower, resolve_backend
+        """Resolve the executable tree and lower it for ``engine``'s backend."""
+        from ..exec import backend_for, lower
         from ..planner import Statistics
 
-        backend_for(engine)  # fail fast on unknown engine types (QueryError)
+        backend = backend_for(engine)  # fails fast on unknown engine types
         if plan is None and optimize:
             plan = self.plan(engine)
         if plan is not None:
             executable, statistics = plan.chosen, plan.statistics
         else:
-            executable, statistics = self, None
-        resolved = resolve_backend(
-            engine, backend, query=executable, statistics=statistics, workers=workers
-        )
-        if statistics is None:
             # Verbatim execution: no sampling, but the backend's cost model
             # still drives structural physical choices.
-            statistics = Statistics(engine=resolved.kind)
-        return resolved, lower(executable, resolved, statistics, force_join=force_join)
+            executable, statistics = self, Statistics(engine=backend.kind)
+        return backend, lower(executable, backend, statistics, force_join=force_join)
 
     def physical_plan(
         self,
@@ -199,8 +185,6 @@ class Query:
         optimize: bool = True,
         plan: Optional["Plan"] = None,
         force_join: Optional[str] = None,
-        backend: Any = None,
-        workers: Optional[int] = None,
     ) -> "PhysicalPlan":
         """The :class:`~repro.core.exec.PhysicalPlan` this query would run.
 
@@ -208,7 +192,7 @@ class Query:
         operators (index scans, hash vs index-nested-loop joins) without
         executing anything.
         """
-        _, physical = self._lowered(engine, optimize, plan, force_join, backend, workers)
+        _, physical = self._lowered(engine, optimize, plan, force_join)
         return physical
 
     def run(
@@ -220,8 +204,6 @@ class Query:
         collect_metrics: bool = False,
         force_join: Optional[str] = None,
         physical: Optional["PhysicalPlan"] = None,
-        backend: Any = None,
-        workers: Optional[int] = None,
     ) -> Any:
         """Evaluate this query on any of the three engines.
 
@@ -252,24 +234,13 @@ class Query:
         path of :mod:`repro.service`.  The caller is responsible for the
         plan's freshness; a stale plan still computes the query it was
         lowered from, just possibly sub-optimally.
-
-        ``backend`` selects the executing backend: ``"row"`` (the engine's
-        classical row-at-a-time backend), ``"columnar"`` (vectorized kernels
-        over certain subtrees, see :mod:`repro.core.exec.columnar`),
-        ``"sharded"`` (component-partitioned parallel execution across a
-        worker pool sized by ``workers``, see :mod:`repro.core.exec.shard`),
-        ``"auto"`` (cost-based pick once the calibrator has fitted the
-        columnar/shard constants), or None to honor the ``REPRO_BACKEND``
-        environment variable (default ``"row"``).
         """
         if physical is not None:
-            from ..exec import resolve_backend
+            from ..exec import backend_for
 
-            backend = resolve_backend(engine, backend, workers=workers)
+            backend = backend_for(engine)
         else:
-            backend, physical = self._lowered(
-                engine, optimize, plan, force_join, backend, workers
-            )
+            backend, physical = self._lowered(engine, optimize, plan, force_join)
         value = physical.execute(backend, result_name)
         if collect_metrics:
             from ..exec import ExecutionResult, record_into_catalog
@@ -284,8 +255,6 @@ class Query:
         engine: Any,
         result_name: str = "__explain",
         optimize: bool = True,
-        backend: Any = None,
-        workers: Optional[int] = None,
     ) -> str:
         """Run this query with metrics and render its EXPLAIN ANALYZE report.
 
@@ -305,8 +274,6 @@ class Query:
             optimize=optimize,
             plan=plan,
             collect_metrics=True,
-            backend=backend,
-            workers=workers,
         )
         observed = frozenset(plan.statistics.observed) if plan is not None else frozenset()
         header = []

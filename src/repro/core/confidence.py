@@ -172,7 +172,7 @@ def certain(wsd: WSD, relation_name: str, tolerance: float = 1e-9) -> List[Tuple
 
 
 def possible_relation(wsd: WSD, relation_name: str, result_name: str = "possible") -> Relation:
-    """Materialize ``possible(R)`` as an ordinary relation."""
+    """Build ``possible(R)`` as an ordinary relation."""
     attributes = wsd.schema.relation(relation_name).attributes
     relation = Relation(RelationSchema(result_name, attributes))
     for row in possible(wsd, relation_name):

@@ -5,16 +5,17 @@ package *lowers* its chosen tree into a :class:`PhysicalPlan` of concrete
 operators (``Scan`` / ``IndexScan`` / ``Filter`` / ``HashJoin`` /
 ``IndexNestedLoopJoin`` / ``Product`` / ``Project`` / ``Rename`` /
 ``Union`` / ``Difference`` / ``Intersection``) and executes it through an
-:class:`EngineBackend` — one per representation system, all wrapping the
-operator modules that implement the paper's semantics.  Execution records
+:class:`EngineBackend` — exactly one per representation system
+(``DatabaseBackend``, ``WSDBackend``, ``UWSDTBackend``), each wrapping the
+operator module that implements the paper's semantics.  Execution records
 per-operator runtime metrics, and :mod:`repro.core.exec.feedback` folds
 them back into the calibrated cost profile (the self-tuning loop).
 
 * :mod:`repro.core.exec.physical` — operator nodes, the executor,
   ``PhysicalPlan.explain()``.
 * :mod:`repro.core.exec.backends` — the ``EngineBackend`` protocol and the
-  Database/WSD/UWSDT implementations (the only place engine types are
-  dispatched on).
+  Database/WSD/UWSDT implementations; :func:`backend_for` is the only place
+  engine types are dispatched on.
 * :mod:`repro.core.exec.lower`    — logical → physical lowering, including
   the hash-join vs index-nested-loop-join cost decision.
 * :mod:`repro.core.exec.metrics`  — ``OperatorMetrics`` /
@@ -33,15 +34,6 @@ from .backends import (
     backend_for,
     index_pool_for,
 )
-from .columnar import (
-    BACKEND_ENV,
-    BACKEND_SPECS,
-    SHARD_WORKERS_ENV,
-    ColumnBatch,
-    ColumnarBackend,
-    insert_columnar_boundaries,
-    resolve_backend,
-)
 from .feedback import (
     DEFAULT_ALPHA,
     FeedbackResult,
@@ -54,17 +46,13 @@ from .feedback import (
 from .lower import JOIN_ALGORITHMS, lower
 from .metrics import ExecutionMetrics, OperatorMetrics
 from .physical import (
-    Dematerialize,
     Difference,
-    Exchange,
     ExecutionResult,
     Filter,
-    Gather,
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
     Intersection,
-    Materialize,
     PhysicalOperator,
     PhysicalPlan,
     Product,
@@ -73,14 +61,11 @@ from .physical import (
     Scan,
     Union,
 )
-from .shard import (
-    DEFAULT_WORKERS,
-    SHARDABLE_OPS,
-    ShardedBackend,
-    insert_shard_boundaries,
-    partition_uwsdt_components,
-    reset_shard_pool,
-)
+
+#: Alias of :func:`backend_for`, kept because callers outside the package
+#: (the ``perfbench/`` scripts among them) resolve executors by this name.
+#: Every engine has exactly one executor, so there is nothing to choose.
+resolve_backend = backend_for
 
 __all__ = [
     "DatabaseBackend",
@@ -89,19 +74,7 @@ __all__ = [
     "WSDBackend",
     "backend_for",
     "index_pool_for",
-    "BACKEND_ENV",
-    "BACKEND_SPECS",
-    "SHARD_WORKERS_ENV",
-    "ColumnBatch",
-    "ColumnarBackend",
-    "insert_columnar_boundaries",
     "resolve_backend",
-    "DEFAULT_WORKERS",
-    "SHARDABLE_OPS",
-    "ShardedBackend",
-    "insert_shard_boundaries",
-    "partition_uwsdt_components",
-    "reset_shard_pool",
     "DEFAULT_ALPHA",
     "FeedbackResult",
     "apply_feedback",
@@ -113,17 +86,13 @@ __all__ = [
     "lower",
     "ExecutionMetrics",
     "OperatorMetrics",
-    "Dematerialize",
     "Difference",
-    "Exchange",
     "ExecutionResult",
     "Filter",
-    "Gather",
     "HashJoin",
     "IndexNestedLoopJoin",
     "IndexScan",
     "Intersection",
-    "Materialize",
     "PhysicalOperator",
     "PhysicalPlan",
     "Product",

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,12 +83,6 @@ def observed_cost_units(record: OperatorMetrics, model: CostModel) -> Optional[T
         return "index_probe", units
     if record.operator in ("Difference", "Intersection"):
         return "difference_pair", model.difference_pair * first * max(1.0, second)
-    if record.operator == "Exchange":
-        # Its recorded seconds are the boundary overhead (partition + ship +
-        # pool wait) left after the subtree's own merged operator times.
-        return "shard_ship_tuple", model.shard_ship_tuple * first
-    if record.operator == "Gather":
-        return "shard_merge_tuple", model.shard_merge_tuple * first
     return None  # scans: the model charges them nothing
 
 
@@ -217,10 +210,7 @@ def apply_feedback(
             registry.gauge(
                 "repro.feedback.constant_drift", engine=metrics.engine, constant=constant
             ).set(value / origin)
-    models = {
-        name: CostModel.for_engine(name)
-        for name in ("database", "wsd", "uwsdt", "columnar", "sharded")
-    }
+    models = {name: CostModel.for_engine(name) for name in ("database", "wsd", "uwsdt")}
     models[metrics.engine] = updated
     metadata: Dict[str, object] = {
         "self_tuned": True,
@@ -266,97 +256,16 @@ def record_into_catalog(engine, metrics: ExecutionMetrics) -> None:
 
 
 def _smoke_metrics(rows: int) -> List[ExecutionMetrics]:
-    """Run the repeated-planning benchmark query with metrics per backend:
-    the database and UWSDT row backends, plus the columnar backend over both
-    engines (its metrics carry ``engine == "columnar"`` and refine the
-    columnar cost model)."""
+    """Run the repeated-planning benchmark query with metrics on the
+    database and UWSDT backends."""
     from ...bench.harness import census_instance
     from ...census.queries import q_four_way_join
 
     instance = census_instance(rows, 0.001)
     query = q_four_way_join()
-    collected = []
     database_run = query.run(instance.one_world_database(), "result", collect_metrics=True)
-    collected.append(database_run.metrics)
     uwsdt_run = query.run(instance.chased(), "result", collect_metrics=True)
-    collected.append(uwsdt_run.metrics)
-    columnar_db_run = query.run(
-        instance.one_world_database(), "result", collect_metrics=True, backend="columnar"
-    )
-    collected.append(columnar_db_run.metrics)
-    columnar_uwsdt_run = query.run(
-        instance.chased(), "result", collect_metrics=True, backend="columnar"
-    )
-    collected.append(columnar_uwsdt_run.metrics)
-    return collected
-
-
-def shard_smoke(
-    rows: int,
-    workers: int,
-    alpha: float = DEFAULT_ALPHA,
-    output_path: Optional[str] = None,
-    profile_path: Optional[str] = None,
-) -> Dict[str, object]:
-    """Row-vs-sharded wall clock of the 4-way census join on a UWSDT.
-
-    Runs the single-process row backend once, then ``backend="sharded"`` at
-    every worker count from 2 up to ``workers`` (each on a freshly chased
-    instance), folds the sharded runs' metrics into the cost profile (that
-    calibrates the ``shard_*`` constants, which is what lets
-    ``backend="auto"`` consider sharding), and returns a JSON-ready
-    ``repro-shard-smoke`` document with the measured speedups.
-    """
-    from ...bench.harness import census_instance
-    from ...census.queries import q_four_way_join
-    from .shard import reset_shard_pool
-
-    query = q_four_way_join()
-
-    def chased_engine():
-        return census_instance(rows, 0.001).chased()
-
-    started = time.perf_counter()
-    query.run(chased_engine(), "result", backend="row")
-    row_seconds = time.perf_counter() - started
-
-    runs: List[Dict[str, object]] = []
-    for count in range(2, max(2, workers) + 1):
-        engine = chased_engine()
-        started = time.perf_counter()
-        result = query.run(
-            engine, "result", collect_metrics=True, backend="sharded", workers=count
-        )
-        seconds = time.perf_counter() - started
-        feedback = apply_feedback(
-            result.metrics, alpha=alpha, output_path=profile_path, install=True
-        )
-        runs.append(
-            {
-                "workers": count,
-                "seconds": seconds,
-                "speedup": row_seconds / seconds if seconds > 0 else None,
-                "cost_model_error": feedback.error_after,
-            }
-        )
-        print(
-            f"sharded workers={count}: {seconds * 1e3:.2f} ms "
-            f"(row {row_seconds * 1e3:.2f} ms, speedup {row_seconds / seconds:.2f}x)"
-        )
-    reset_shard_pool()
-    document: Dict[str, object] = {
-        "format": "repro-shard-smoke",
-        "rows": rows,
-        "query": "q_four_way_join",
-        "engine": "uwsdt",
-        "row_seconds": row_seconds,
-        "sharded": runs,
-    }
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"wrote {output_path}")
-    return document
+    return [database_run.metrics, uwsdt_run.metrics]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -364,18 +273,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..planner.cost import load_cost_profile, parse_cost_profile
 
     parser = argparse.ArgumentParser(
-        description="One calibrate-and-feedback round per backend: fit the "
-        "cost constants from microbenchmarks, execute a metrics-enabled "
-        "query on every backend, fold observed operator times into the "
-        "cost profile."
+        description="One calibrate-and-feedback round: fit the cost "
+        "constants from microbenchmarks, execute a metrics-enabled query on "
+        "the database and UWSDT engines, fold observed operator times into "
+        "the cost profile."
     )
     parser.add_argument("--output", default="COST_PROFILE_tuned.json")
-    parser.add_argument(
-        "--columnar-output",
-        default="COST_PROFILE_columnar.json",
-        help="where to upload the calibrated+tuned profile containing the "
-        "columnar model (the artifact CI publishes)",
-    )
     parser.add_argument(
         "--profile", default=None, help="existing profile to start from (optional)"
     )
@@ -388,26 +291,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--rows", type=int, default=200)
     parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     parser.add_argument("--smoke", action="store_true", help="tiny CI sizes (100 rows)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker counts for the sharded smoke (runs workers=2..N)",
-    )
-    parser.add_argument(
-        "--shard-output",
-        default="SHARD_smoke.json",
-        help="where to write the row-vs-sharded speedup document "
-        "(empty string skips the shard smoke)",
-    )
     args = parser.parse_args(argv)
 
     if args.profile:
         load_cost_profile(args.profile)
     elif not args.no_calibrate:
-        # Calibrate every backend first so feedback refines *fitted*
-        # constants (and so the columnar model is source="calibrated",
-        # which is what lets backend="auto" consider it).
+        # Calibrate every engine first so feedback refines *fitted*
+        # constants.
         calibrated = calibrate(smoke=args.smoke)
         calibrated.install()
         for name, model in sorted(calibrated.models.items()):
@@ -416,19 +306,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"join_build={model.join_build:.4f}"
             )
     rows = 100 if args.smoke else args.rows
-
-    # The shard smoke runs first: it calibrates the shard_* constants, and
-    # the feedback loop below then writes the final profile (including the
-    # now-calibrated sharded model), keeping the round-trip check below
-    # aligned with the file's last writer.
-    if args.shard_output:
-        shard_smoke(
-            rows,
-            args.workers,
-            alpha=args.alpha,
-            output_path=args.shard_output,
-            profile_path=args.output,
-        )
 
     result = None
     for metrics in _smoke_metrics(rows):
@@ -450,18 +327,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("ERROR: tuned profile did not round-trip through the JSON document")
         return 1
     print(f"wrote {args.output} (round-trip verified)")
-
-    if args.columnar_output:
-        result.profile.save(args.columnar_output)
-        columnar = result.profile.models.get("columnar")
-        row = result.profile.models.get("database")
-        if columnar is not None and row is not None:
-            print(
-                f"wrote {args.columnar_output} "
-                f"(columnar select_tuple {columnar.select_tuple:.4f} vs "
-                f"row {row.select_tuple:.4f}, "
-                f"join_build {columnar.join_build:.4f} vs {row.join_build:.4f})"
-            )
     return 0
 
 

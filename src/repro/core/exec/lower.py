@@ -212,28 +212,15 @@ def lower(
     with get_tracer().span("lowering", engine=backend.kind):
         lowering = _Lowering(backend, statistics, statistics.cost_model(), force_join)
         lowering.seed_estimates(query)
-        root = lowering.lower(query)
-        if backend.kind == "columnar":
-            from .columnar import insert_columnar_boundaries
-
-            root = insert_columnar_boundaries(root, backend)
-        elif backend.kind == "sharded":
-            from .shard import insert_shard_boundaries
-
-            root = insert_shard_boundaries(root, backend)
-        physical = PhysicalPlan(root, backend.kind)
+        physical = PhysicalPlan(lowering.lower(query), backend.kind)
         from ...analysis import invariants
 
         if invariants.verification_enabled():
             from ...analysis.schema import SchemaContext
 
-            certain_base = None
-            if backend.kind == "columnar":
-                certain_base = backend.certain_base
             invariants.verify_physical(
                 physical,
                 backend=backend,
                 schema_context=SchemaContext.from_statistics(statistics),
-                certain_base=certain_base,
             )
         return physical

@@ -211,78 +211,6 @@ class Intersection(PhysicalOperator):
         super().__init__((left, right), estimated_rows)
 
 
-class Materialize(PhysicalOperator):
-    """Row handle → :class:`~repro.core.exec.columnar.ColumnBatch` boundary.
-
-    Inserted by :func:`~repro.core.exec.columnar.insert_columnar_boundaries`
-    at the edge of a columnar region; ``Materialize(Scan)`` is the
-    vectorized scan.  Only the columnar backend executes these.
-    """
-
-    op_name = "Materialize"
-
-    def __init__(
-        self, child: PhysicalOperator, estimated_rows: Optional[float] = None
-    ) -> None:
-        super().__init__((child,), estimated_rows)
-
-
-class Dematerialize(PhysicalOperator):
-    """Batch → row-handle boundary (restores set semantics on the way out)."""
-
-    op_name = "Dematerialize"
-
-    def __init__(
-        self, child: PhysicalOperator, estimated_rows: Optional[float] = None
-    ) -> None:
-        super().__init__((child,), estimated_rows)
-
-
-class Exchange(PhysicalOperator):
-    """Shard boundary: the subtree below is hash-partitioned by world-set
-    component and executed once per shard in the worker pool.
-
-    Inserted by :func:`~repro.core.exec.shard.insert_shard_boundaries`
-    around component-confined subtrees (per-tuple operators only); only the
-    sharded backend executes it — via the enclosing :class:`Gather`, which
-    hands the whole pair to ``backend.gather``.  After execution its
-    metrics carry the coordination overhead (partition + ship time not
-    accounted to the subtree's own operators) and ``shard_rows`` the
-    per-shard result row counts for skew reporting.
-    """
-
-    op_name = "Exchange"
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        workers: int,
-        estimated_rows: Optional[float] = None,
-    ) -> None:
-        super().__init__((child,), estimated_rows)
-        self.workers = workers
-        #: Per-shard result row counts, filled in by ``backend.gather``.
-        self.shard_rows: List[int] = []
-        #: Wall time of the parent-side merge, filled in by ``backend.gather``.
-        self.merge_seconds: float = 0.0
-
-    def label(self) -> str:
-        return f"Exchange(workers={self.workers})"
-
-
-class Gather(PhysicalOperator):
-    """Merge boundary over an :class:`Exchange`: collects the per-shard
-    results back into the parent engine (template rows under their original
-    tuple ids, evolved components replacing the shipped originals)."""
-
-    op_name = "Gather"
-
-    def __init__(
-        self, child: Exchange, estimated_rows: Optional[float] = None
-    ) -> None:
-        super().__init__((child,), estimated_rows)
-
-
 class HashJoin(PhysicalOperator):
     """Equi-join via an ephemeral build-and-probe hash table."""
 
@@ -413,27 +341,6 @@ class PhysicalPlan:
             self._record(node, backend, handle, rows_in, arity_in, seconds)
             return handle
 
-        if isinstance(node, Gather):
-            # The Exchange subtree never executes here: the sharded backend
-            # partitions the engine, runs the subtree once per shard in the
-            # worker pool, merges the results, and attributes the workers'
-            # per-operator metrics onto the subtree's nodes.
-            exchange = node.children[0]
-            start = time.perf_counter()
-            handle = backend.gather(exchange, result_name)
-            total = time.perf_counter() - start
-            shipped = exchange.metrics.rows_out if exchange.metrics is not None else 0
-            seconds = max(0.0, total - self.cumulative_seconds(exchange))
-            self._record(
-                node,
-                backend,
-                handle,
-                (shipped,),
-                (backend.arity(handle),),
-                seconds,
-            )
-            return handle
-
         handles = [self._execute(child, backend, None) for child in node.children]
         rows_in = tuple(backend.row_count(handle) for handle in handles)
         arity_in = tuple(backend.arity(handle) for handle in handles)
@@ -460,10 +367,6 @@ class PhysicalPlan:
             handle = backend.hash_join(
                 handles[0], handles[1], node.left_attr, node.right_attr, result_name
             )
-        elif isinstance(node, Materialize):
-            handle = backend.materialize(handles[0], result_name)
-        elif isinstance(node, Dematerialize):
-            handle = backend.dematerialize(handles[0], result_name)
         else:
             raise QueryError(f"unknown physical operator {node.label()}")
         seconds = time.perf_counter() - start
@@ -606,13 +509,6 @@ class PhysicalPlan:
             annotations.append(f"cum {self.cumulative_seconds(node) * 1e3:.3f} ms")
         elif node.op_name == "Scan":
             annotations.append("not executed (index probe target)")
-        if isinstance(node, Exchange) and node.shard_rows:
-            annotations.append(
-                "shard rows "
-                + "/".join(f"{rows:,}" for rows in node.shard_rows)
-                + f" (max {max(node.shard_rows):,}, min {min(node.shard_rows):,})"
-            )
-            annotations.append(f"merge {node.merge_seconds * 1e3:.3f} ms")
         if certainty is not None:
             from ...analysis.certainty import UNKNOWN, physical_certainty
 

@@ -64,11 +64,8 @@ from .cost import (
     parse_cost_profile,
 )
 
-#: Engines the calibrator knows how to drive.  ``"columnar"`` times the
-#: vectorized kernels of :mod:`~repro.core.exec.columnar` over column
-#: batches (product stays the row path, which is what the columnar backend
-#: actually executes for it).
-CALIBRATION_ENGINES: Tuple[str, ...] = ("database", "wsd", "uwsdt", "columnar")
+#: Engines the calibrator knows how to drive.
+CALIBRATION_ENGINES: Tuple[str, ...] = ("database", "wsd", "uwsdt")
 
 #: Input sizes for the linear operators (select/project/rename/union/join).
 DEFAULT_LINEAR_SIZES: Tuple[int, ...] = (160, 320)
@@ -313,73 +310,6 @@ def _measure_representation(
     return measurements
 
 
-def _measure_columnar(
-    linear_sizes: Sequence[int],
-    product_sizes: Sequence[int],
-    difference_sizes: Sequence[int],
-    repeats: int,
-    seed: int,
-) -> List[Measurement]:
-    """Time the vectorized kernels over :class:`ColumnBatch` inputs.
-
-    The batches are built from the same synthetic rows the Database driver
-    uses (batch construction happens outside the timed region — it is the
-    materialize boundary's cost, not the kernels').  Product has no kernel:
-    the columnar backend delegates it to the row path, so the emit slope is
-    measured on the classical product, exactly the work a columnar plan
-    pays there.
-    """
-    from ...core.exec.columnar import (
-        ColumnBatch,
-        difference_batch,
-        filter_batch,
-        hash_join_batch,
-        project_batch,
-        rename_batch,
-        union_batch,
-    )
-
-    measurements: List[Measurement] = []
-    arity = len(_ATTRS)
-    predicate = AttrConst("A", "=", 1)
-
-    def batch_of(relation: Relation) -> ColumnBatch:
-        return ColumnBatch.from_rows(relation.schema.attributes, relation.rows)
-
-    def record(operator, left, right, out, arity_out, seconds):
-        measurements.append(
-            Measurement("columnar", operator, left, right, out, arity, arity_out, seconds)
-        )
-
-    for count in linear_sizes:
-        left = batch_of(_plain_relation("R", _ATTRS, count, seed))
-        twin = batch_of(_plain_relation("R2", _ATTRS, count, seed + 1))
-        other = batch_of(_plain_relation("S", _JOIN_ATTRS, count, seed + 2))
-        result, seconds = _timed_pure(lambda: filter_batch(left, predicate), repeats)
-        record("select", count, 0, len(result), arity, seconds)
-        result, seconds = _timed_pure(lambda: project_batch(left, ("K", "A")), repeats)
-        record("project", count, 0, len(result), 2, seconds)
-        result, seconds = _timed_pure(lambda: rename_batch(left, "A", "A9"), repeats)
-        record("rename", count, 0, len(result), arity, seconds)
-        result, seconds = _timed_pure(lambda: union_batch(left, twin), repeats)
-        record("union", count, count, len(result), arity, seconds)
-        result, seconds = _timed_pure(
-            lambda: hash_join_batch(left, other, "K", "K2"), repeats
-        )
-        record("join", count, count, len(result), 2 * arity, seconds)
-    for count in product_sizes:
-        left = _plain_relation("R", _ATTRS, count, seed)
-        other = _plain_relation("S", _JOIN_ATTRS, count, seed + 2)
-        result, seconds = _timed_pure(lambda: relational_algebra.product(left, other), repeats)
-        record("product", count, count, len(result), 2 * arity, seconds)
-    for count in difference_sizes:
-        left = batch_of(_plain_relation("R", _ATTRS, count, seed))
-        twin = batch_of(_plain_relation("R2", _ATTRS, count, seed + 1))
-        result, seconds = _timed_pure(lambda: difference_batch(left, twin), repeats)
-        record("difference", count, count, len(result), arity, seconds)
-    return measurements
-
-
 def run_microbenchmarks(
     engine_name: str,
     linear_sizes: Sequence[int] = DEFAULT_LINEAR_SIZES,
@@ -391,8 +321,6 @@ def run_microbenchmarks(
     """Time every operator primitive of one engine at the given sizes."""
     if engine_name == "database":
         return _measure_database(linear_sizes, product_sizes, difference_sizes, repeats, seed)
-    if engine_name == "columnar":
-        return _measure_columnar(linear_sizes, product_sizes, difference_sizes, repeats, seed)
     if engine_name in ("wsd", "uwsdt"):
         return _measure_representation(
             engine_name, linear_sizes, product_sizes, difference_sizes, repeats, seed
@@ -474,10 +402,9 @@ def fit_cost_model(
         fitted_join = _slope(residual_points)
         if fitted_join is None:
             # A join faster than the engine's emit rate leaves no positive
-            # residual (the columnar backend's gather-based join vs the
-            # row-path emit its product delegates to).  Fit on total join
-            # time instead: an upper bound that still reflects the measured
-            # speed, rather than falling back to the hand-tuned guess.
+            # residual.  Fit on total join time instead: an upper bound that
+            # still reflects the measured speed, rather than falling back to
+            # the hand-tuned guess.
             fitted_join = _slope(
                 [
                     (float(m.rows_left + m.rows_right), m.seconds)

@@ -106,14 +106,6 @@ class CostModel:
     #: but the inner side pays nothing, so small-outer/large-inner joins win.
     index_probe: float = 3.0
     difference_pair: float = 1.0
-    #: Parallelism constants (the sharded backend's Exchange/Gather
-    #: boundary): fixed per-shard setup (partitioning + pool dispatch),
-    #: per-row serialization onto the worker pipe, and per-row merge back
-    #: into the parent engine.  Unused by single-process engines; their
-    #: defaults keep old profiles parsing unchanged.
-    shard_setup: float = 50.0
-    shard_ship_tuple: float = 0.5
-    shard_merge_tuple: float = 1.0
     #: ``"hand-tuned"`` for the built-in defaults, ``"calibrated"`` for
     #: constants fitted by :mod:`~repro.core.planner.calibrate`.
     source: str = "hand-tuned"
@@ -129,9 +121,6 @@ class CostModel:
         "join_probe",
         "index_probe",
         "difference_pair",
-        "shard_setup",
-        "shard_ship_tuple",
-        "shard_merge_tuple",
     )
 
     def constants(self) -> Dict[str, float]:
@@ -207,53 +196,12 @@ UWSDT_COST = CostModel(
     difference_pair=15.0,
 )
 
-COLUMNAR_COST = CostModel(
-    name="columnar",
-    # The vectorized kernels move values through parallel arrays without
-    # per-operator Relation construction or per-row dedup, so every
-    # per-tuple constant sits below the classical row backend's; Product
-    # and the index nested-loop join have no kernels and run row-at-a-time
-    # (emit/index_probe stay at the Database rates).
-    select_tuple=0.25,
-    project_tuple=0.3,
-    rename_tuple=0.2,
-    union_tuple=0.4,
-    emit_tuple=1.0,
-    join_build=0.6,
-    join_probe=0.6,
-    index_probe=2.5,
-    difference_pair=0.5,
-)
-
-SHARDED_COST = CostModel(
-    name="sharded",
-    # Inside each worker the subtree runs on the plain row backend, so the
-    # per-tuple operator constants mirror the UWSDT model; what is specific
-    # to this model are the parallelism constants — per-shard setup, per-row
-    # serialization, per-row merge — which resolve_backend's wall-clock
-    # comparison uses to decide whether fanning out pays for itself.
-    select_tuple=1.0,
-    project_tuple=1.5,
-    rename_tuple=1.8,
-    union_tuple=1.2,
-    emit_tuple=2.5,
-    join_build=1.0,
-    join_probe=1.0,
-    index_probe=2.5,
-    difference_pair=15.0,
-    shard_setup=50.0,
-    shard_ship_tuple=0.5,
-    shard_merge_tuple=1.0,
-)
-
 #: Cost models keyed by ``Statistics.engine``.
 COST_MODELS: Dict[str, CostModel] = {
     "generic": GENERIC_COST,
     "database": DATABASE_COST,
     "wsd": WSD_COST,
     "uwsdt": UWSDT_COST,
-    "columnar": COLUMNAR_COST,
-    "sharded": SHARDED_COST,
 }
 
 

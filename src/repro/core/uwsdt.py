@@ -505,7 +505,7 @@ class UWSDT:
     # ------------------------------------------------------------------ #
 
     def to_uniform_relations(self) -> Dict[str, Relation]:
-        """Materialize the paper's fixed-schema relations ``C``, ``F`` and ``W``.
+        """Build the paper's fixed-schema relations ``C``, ``F`` and ``W``.
 
         ``FID`` is flattened into three columns (``REL``, ``TID``, ``ATTR``) as
         the paper's footnote 3 describes.

@@ -166,7 +166,7 @@ class WSDT:
     rep = to_worldset
 
     def template_relation(self, relation_name: str, tid_column: str = "TID") -> Relation:
-        """Materialize one template as an ordinary relation with a tuple-id column."""
+        """Render one template as an ordinary relation with a tuple-id column."""
         relation_schema = self.schema.relation(relation_name)
         attributes = (tid_column,) + relation_schema.attributes
         relation = Relation(RelationSchema(relation_name, attributes))

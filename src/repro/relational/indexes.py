@@ -81,16 +81,6 @@ class IndexPool:
         self._cache: Dict[Tuple[int, Tuple[str, ...]], Tuple[int, HashIndex]] = {}
         self._lock = threading.RLock()
 
-    def __getstate__(self) -> bool:
-        # The cache keys by ``id(relation)`` — meaningless in another
-        # process — and the lock cannot pickle.  A pool crossing a process
-        # boundary (a shard payload) starts empty and rebuilds on demand.
-        return True
-
-    def __setstate__(self, state: bool) -> None:
-        self._cache = {}
-        self._lock = threading.RLock()
-
     def hash_index(self, relation: Relation, attributes: Sequence[str]) -> HashIndex:
         """Return a (cached) hash index over ``attributes`` of ``relation``."""
         with self._lock:

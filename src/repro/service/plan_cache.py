@@ -54,17 +54,6 @@ class CachedPlan:
     fingerprint: str
     plan: Plan
     physical: PhysicalPlan
-    #: Backend kind the physical plan was lowered for (``physical.engine``).
-    #: Part of the cache key: a row-backend plan must never be served to a
-    #: columnar request (or vice versa) — the plans differ structurally
-    #: (materialize boundaries) and ``PhysicalPlan.execute`` rejects a
-    #: backend-kind mismatch outright.
-    backend: str
-    #: Worker count a sharded plan was lowered for (0 for in-process
-    #: backends).  Part of the cache key: a sharded plan's Exchange nodes
-    #: bake in the shard fan-out, so plans for different worker counts are
-    #: distinct entries.
-    workers: int
     base_relations: Tuple[str, ...]
     #: Version key of every base relation at planning time; the entry is
     #: valid exactly while all of them still match.
@@ -76,25 +65,23 @@ class CachedPlan:
 
 
 class PlanCache:
-    """Per-engine cache of lowered plans, validated by version-key polling."""
+    """Per-engine cache of lowered plans, validated by version-key polling.
+
+    A cache belongs to one engine, and every engine has exactly one
+    executor, so an entry is keyed by the query fingerprint alone.
+    """
 
     def __init__(self, engine: Any) -> None:
         self.engine = engine
         self.catalog: StatisticsCatalog = catalog_for(engine)
         self._lock = threading.RLock()
         self._entries: Dict[str, CachedPlan] = {}
-        #: Backend kind assumed when ``lookup``/``peek`` are called without
-        #: one — the engine's row backend, the pre-columnar behavior.
-        self._default_backend = backend_for(engine).kind
+        #: Engine kind every cached plan must have been lowered for.
+        self.engine_kind = backend_for(engine).kind
         self.hits = 0
         self.misses = 0
         #: Entries dropped because a base relation's version key moved.
         self.invalidations = 0
-
-    def _key(
-        self, fingerprint: str, backend: Optional[str], workers: Optional[int] = None
-    ) -> str:
-        return f"{fingerprint}@{backend or self._default_backend}@{workers or 0}"
 
     def _current_keys(self, relations: Tuple[str, ...]) -> Optional[Dict[str, Tuple[Any, ...]]]:
         try:
@@ -102,32 +89,22 @@ class PlanCache:
         except KeyError:
             return None  # a base relation was dropped: treat as invalid
 
-    def lookup(
-        self,
-        fingerprint: str,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> Optional[CachedPlan]:
-        """The valid cached plan for ``fingerprint`` on ``backend``, or None.
+    def lookup(self, fingerprint: str) -> Optional[CachedPlan]:
+        """The valid cached plan for ``fingerprint``, or None.
 
-        ``backend`` is the executing backend's kind (defaulting to the
-        engine's row backend) and is part of the key: a plan lowered for one
-        backend is structurally wrong for another.  ``workers`` further
-        scopes sharded plans (the Exchange fan-out is baked into the plan).
         A structurally present but stale entry (any base relation's version
         key moved) is dropped and counted as an invalidation + miss.
         """
         registry = get_registry()
-        key = self._key(fingerprint, backend, workers)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(fingerprint)
             if entry is None:
                 self.misses += 1
                 registry.counter("repro.plan_cache.misses").inc()
                 return None
             current = self._current_keys(entry.base_relations)
             if current != entry.version_keys:
-                del self._entries[key]
+                del self._entries[fingerprint]
                 self.invalidations += 1
                 self.misses += 1
                 registry.counter("repro.plan_cache.misses").inc()
@@ -140,45 +117,21 @@ class PlanCache:
             from ..analysis import invariants
 
             if invariants.verification_enabled():
-                # A served entry's recorded backend kind must match the
-                # engine kind its physical plan was lowered for, and be one
-                # this engine can execute.
-                invariants.verify_cached_backend(
-                    entry.backend,
-                    entry.physical.engine,
-                    (self._default_backend, "columnar", "sharded"),
-                )
+                invariants.verify_cached_backend(entry.physical.engine, self.engine_kind)
             return entry
 
-    def peek(
-        self,
-        fingerprint: str,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> Optional[CachedPlan]:
+    def peek(self, fingerprint: str) -> Optional[CachedPlan]:
         """The raw entry, without validation or hit/miss accounting (telemetry
         and ``explain_analyze`` provenance; never use it to serve a plan)."""
         with self._lock:
-            return self._entries.get(self._key(fingerprint, backend, workers))
+            return self._entries.get(fingerprint)
 
-    def store(
-        self,
-        fingerprint: str,
-        plan: Plan,
-        physical: PhysicalPlan,
-        workers: Optional[int] = None,
-    ) -> CachedPlan:
-        """Cache a freshly planned + lowered query under its fingerprint, the
-        backend kind the physical plan was lowered for, and (for sharded
-        plans) the worker count the Exchange fan-out was sized for."""
+    def store(self, fingerprint: str, plan: Plan, physical: PhysicalPlan) -> CachedPlan:
+        """Cache a freshly planned + lowered query under its fingerprint."""
         from ..analysis import invariants
 
         if invariants.verification_enabled():
-            invariants.verify_cached_backend(
-                physical.engine,
-                physical.engine,
-                (self._default_backend, "columnar", "sharded"),
-            )
+            invariants.verify_cached_backend(physical.engine, self.engine_kind)
         with self._lock:
             relations = tuple(sorted(plan.original.base_relations()))
             keys = self._current_keys(relations)
@@ -186,26 +139,16 @@ class PlanCache:
                 fingerprint=fingerprint,
                 plan=plan,
                 physical=physical,
-                backend=physical.engine,
-                workers=workers or 0,
                 base_relations=relations,
                 version_keys=keys if keys is not None else {},
             )
-            self._entries[self._key(fingerprint, physical.engine, workers)] = entry
+            self._entries[fingerprint] = entry
             return entry
 
-    def invalidate(
-        self,
-        fingerprint: Optional[str] = None,
-        reason: str = "explicit",
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> None:
+    def invalidate(self, fingerprint: Optional[str] = None, reason: str = "explicit") -> None:
         """Drop one entry (or all of them when ``fingerprint`` is None).
 
-        With a ``fingerprint`` but no ``backend``, every backend's plan for
-        that query is dropped (whatever its worker count).  ``reason``
-        labels the eviction counter (see :data:`EVICTION_REASONS`); the
+        ``reason`` labels the eviction counter (see :data:`EVICTION_REASONS`); the
         service passes ``"replan"`` from its q-error trigger.
         """
         registry = get_registry()
@@ -217,17 +160,8 @@ class PlanCache:
                     )
                 self._entries.clear()
                 return
-            if backend is not None:
-                keys = [self._key(fingerprint, backend, workers)]
-            else:
-                keys = [
-                    key
-                    for key, entry in self._entries.items()
-                    if entry.fingerprint == fingerprint
-                ]
-            for key in keys:
-                if self._entries.pop(key, None) is not None:
-                    registry.counter("repro.plan_cache.evictions", reason=reason).inc()
+            if self._entries.pop(fingerprint, None) is not None:
+                registry.counter("repro.plan_cache.evictions", reason=reason).inc()
 
     def __len__(self) -> int:
         with self._lock:

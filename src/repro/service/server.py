@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from ..core.exec import lower, resolve_backend
+from ..core.exec import backend_for, lower
 from ..core.exec.metrics import ExecutionMetrics
 from ..core.exec.physical import PhysicalPlan
 from ..core.planner.catalog import catalog_for
@@ -115,12 +115,8 @@ class QueryOutcome:
     #: Trace id of the request span (None with tracing disabled).
     trace_id: Optional[str] = None
     #: Kind of the backend that executed the request (``"database"`` /
-    #: ``"wsd"`` / ``"uwsdt"`` / ``"columnar"`` / ``"sharded"``) — also the
-    #: plan-cache sub-key the request was served under.
+    #: ``"wsd"`` / ``"uwsdt"``).
     backend: Optional[str] = None
-    #: Worker count of a sharded request (None for in-process backends) —
-    #: the remaining plan-cache sub-key.
-    workers: Optional[int] = None
 
 
 @dataclass
@@ -218,23 +214,11 @@ class QueryService:
         engine_name: str,
         query,
         result_name: Optional[str] = None,
-        backend=None,
-        workers: Optional[int] = None,
     ) -> QueryOutcome:
-        """Serve one query: plan-cache lookup, execute, feed back, maybe evict.
-
-        ``backend`` is the executing-backend spec (``"row"`` / ``"columnar"``
-        / ``"sharded"`` / ``"auto"`` / None for the ``REPRO_BACKEND``
-        environment variable); ``workers`` sizes the sharded backend's pool.
-        The resolved backend kind *and* worker count are part of the
-        plan-cache key, so a plan lowered for the row backend is never
-        served to a columnar request, and a sharded plan's Exchange fan-out
-        is never reused at a different worker count.
-        """
+        """Serve one query: plan-cache lookup, execute, feed back, maybe evict."""
         engine = self.engines[engine_name]
         cache = plan_cache_for(engine)
-        executor = resolve_backend(engine, backend, workers=workers)
-        worker_count = getattr(executor, "workers", None)
+        executor = backend_for(engine)
         fingerprint = query.fingerprint()
         name = result_name or self._next_result_name()
         tracer = get_tracer()
@@ -249,19 +233,16 @@ class QueryService:
                 ).observe(waited)
                 start = time.perf_counter()
                 with tracer.span("cache-lookup", backend=executor.kind):
-                    entry = cache.lookup(fingerprint, executor.kind, worker_count)
+                    entry = cache.lookup(fingerprint)
                 cached = entry is not None
                 if entry is None:
-                    entry = self._plan_and_cache(
-                        engine, cache, query, fingerprint, executor, worker_count
-                    )
+                    entry = self._plan_and_cache(engine, cache, query, fingerprint, executor)
                 with tracer.span("execute", cached=cached):
                     result = query.run(
                         engine,
                         name,
                         physical=entry.physical,
                         collect_metrics=True,
-                        backend=executor,
                     )
                 seconds = time.perf_counter() - start
                 entry.executions += 1
@@ -298,7 +279,6 @@ class QueryService:
             physical=result.physical,
             trace_id=trace_id,
             backend=executor.kind,
-            workers=worker_count,
         )
 
     def _record_if_slow(
@@ -342,11 +322,10 @@ class QueryService:
         query,
         fingerprint: str,
         backend,
-        workers: Optional[int] = None,
     ) -> CachedPlan:
         plan = query.plan(engine)
         physical = lower(plan.chosen, backend, plan.statistics)
-        return cache.store(fingerprint, plan, physical, workers=workers)
+        return cache.store(fingerprint, plan, physical)
 
     def _maybe_evict(
         self, cache: PlanCache, entry: CachedPlan, metrics: ExecutionMetrics
@@ -363,9 +342,7 @@ class QueryService:
         error = metrics.max_cardinality_error()
         if error is None or error < self.replan_qerror:
             return False
-        cache.invalidate(
-            entry.fingerprint, reason="replan", backend=entry.backend, workers=entry.workers
-        )
+        cache.invalidate(entry.fingerprint, reason="replan")
         return True
 
     # ------------------------------------------------------------------ #

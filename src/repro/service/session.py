@@ -68,18 +68,9 @@ class Session:
     def engine(self) -> Any:
         return self.service.engines[self.engine_name]
 
-    async def execute(
-        self, query, result_name: Optional[str] = None, backend=None, workers=None
-    ):
-        """Run a query through the service, accounting it to this session.
-
-        ``backend`` selects the executing backend (``"row"`` / ``"columnar"``
-        / ``"sharded"`` / ``"auto"``) and ``workers`` sizes the sharded
-        worker pool; both are part of the service's plan-cache key.
-        """
-        outcome = await self.service.execute(
-            self.engine_name, query, result_name, backend, workers=workers
-        )
+    async def execute(self, query, result_name: Optional[str] = None):
+        """Run a query through the service, accounting it to this session."""
+        outcome = await self.service.execute(self.engine_name, query, result_name)
         self.requests += 1
         if outcome.cached:
             self.cache_hits += 1
@@ -90,9 +81,7 @@ class Session:
         """Apply a mutation to this session's engine under the engine lock."""
         return await self.service.mutate(self.engine_name, mutator)
 
-    async def explain_analyze(
-        self, query, result_name: Optional[str] = None, backend=None, workers=None
-    ) -> str:
+    async def explain_analyze(self, query, result_name: Optional[str] = None) -> str:
         """Execute ``query`` through the service and render EXPLAIN ANALYZE.
 
         The report is the executed physical plan annotated per operator with
@@ -104,12 +93,10 @@ class Session:
         id.  Estimates fed by executed-cardinality feedback (rather than
         samples) are tagged ``est←feedback``.
         """
-        outcome = await self.execute(query, result_name, backend, workers)
+        outcome = await self.execute(query, result_name)
         catalog = catalog_for(self.engine)
         observed = frozenset(catalog.observed_view())
-        entry = self.service.plan_cache(self.engine_name).peek(
-            outcome.fingerprint, outcome.backend, outcome.workers
-        )
+        entry = self.service.plan_cache(self.engine_name).peek(outcome.fingerprint)
         header = [
             f"fingerprint: {outcome.fingerprint}  engine: {outcome.engine}",
             "plan source: "

@@ -115,7 +115,7 @@ class WorldSetRelation:
         return result
 
     def as_relation(self, name: str = "worldset") -> Relation:
-        """Materialize the world-set relation as an ordinary wide relation.
+        """Render the world-set relation as an ordinary wide relation.
 
         Column names follow the paper's convention ``R.ti.A``.
         """

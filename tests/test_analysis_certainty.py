@@ -1,15 +1,10 @@
-"""The certainty dataflow: facts, rendering, columnar eligibility, fallback.
+"""The certainty dataflow: facts and rendering.
 
 * Lattice and context behavior: densities → certain/maybe, probe fallback,
   unknown for unseen relations, memoized probes.
 * Per-attribute propagation through σ/π/δ/⋈/∪/−.
 * ``Plan.explain()`` and ``explain_analyze`` annotate nodes with their
   verdicts when placeholder densities are known.
-* Columnar eligibility is the static analysis' call: certain subtrees get
-  boundaries, uncertain ones stay row-at-a-time (already covered by
-  test_columnar; here we pin the analysis function itself), and the runtime
-  materialize fallback counts into ``repro.columnar.materialize_fallbacks``
-  when a cached plan goes stale under an engine mutation.
 """
 
 import pytest
@@ -24,16 +19,13 @@ from repro.analysis.certainty import (
     node_certainty,
     physical_certainty,
     render_with_certainty,
-    subtree_certain,
 )
 from repro.analysis.schema import SchemaContext
 from repro.core import UWSDT
 from repro.core.algebra import BaseRelation
-from repro.core.exec import ColumnarBackend
 from repro.core.planner import Statistics, plan
-from repro.obs.metrics import get_registry
 from repro.relational import RelationSchema
-from repro.relational.predicates import AttrAttr, AttrConst
+from repro.relational.predicates import AttrConst
 from repro.worlds import OrSet, OrSetRelation
 
 
@@ -71,12 +63,6 @@ class TestLatticeAndContext:
         assert context.relations(["R"]) == CERTAIN
         assert context.relations(["R", "S"]) == MAYBE
         assert context.relations([]) == UNKNOWN
-
-    def test_subtree_certain(self, context):
-        assert subtree_certain(("R",), context)
-        assert not subtree_certain(("R", "S"), context)
-        # No provenance: the analysis cannot vouch, so not eligible.
-        assert not subtree_certain((), context)
 
     def test_physical_certainty(self, context):
         assert physical_certainty(("R",), context) == CERTAIN
@@ -171,41 +157,3 @@ class TestExplainAnnotations:
         )
         report = BaseRelation("R").select(AttrConst("A", "=", 1)).explain_analyze(database)
         assert "certain" in report
-
-
-class TestColumnarEligibilityAndFallback:
-    def _uwsdt(self):
-        relation = OrSetRelation(RelationSchema("R", ("A0", "A1", "A2")))
-        relation.insert((1, 2, 3))
-        relation.insert((2, 0, 1))
-        return UWSDT.from_orset_relation(relation)
-
-    def test_certain_relation_gets_boundaries(self):
-        # An attribute-attribute filter cannot collapse into an IndexScan,
-        # so the certain subtree lowers through the columnar kernels.
-        uwsdt = self._uwsdt()
-        physical = (
-            BaseRelation("R")
-            .select(AttrAttr("A0", "<", "A2"))
-            .physical_plan(uwsdt, backend="columnar")
-        )
-        assert physical.uses("Materialize") and physical.uses("Dematerialize")
-
-    def test_stale_plan_fallback_is_counted(self):
-        uwsdt = self._uwsdt()
-        backend = ColumnarBackend(uwsdt)
-        query = BaseRelation("R").select(AttrAttr("A0", "<", "A2"))
-        physical = query.physical_plan(uwsdt, backend=backend)
-        assert physical.uses("Materialize")
-        # The engine mutates after lowering: R now carries a placeholder
-        # field wired to a component, so ``relation_placeholder_count`` > 0.
-        from repro.core import Component, FieldRef
-        from repro.relational.values import PLACEHOLDER
-
-        uwsdt.add_template_tuple("R", "t-new", (9, PLACEHOLDER, 9))
-        uwsdt.new_component(Component((FieldRef("R", "t-new", "A1"),), [(7,), (8,)]))
-        counter = get_registry().counter("repro.columnar.materialize_fallbacks")
-        before = counter.value
-        query.run(uwsdt, "P", physical=physical, backend=backend)
-        assert counter.value == before + 1
-        uwsdt.validate()

@@ -22,7 +22,6 @@ from repro.analysis.lint import (
     build_report,
     check_async_blocking,
     check_locked_state,
-    check_picklable_plan_state,
     check_relation_version,
     check_watch_release,
     default_root,
@@ -190,69 +189,6 @@ class TestWatchRelease:
         )
 
 
-class TestPicklablePlanState:
-    def test_lambda_on_operator_flagged(self):
-        source = (
-            "class Filter(PhysicalOperator):\n"
-            "    def __init__(self, predicate):\n"
-            "        self.test = lambda row: predicate(row)\n"
-        )
-        found = violations_of(check_picklable_plan_state, source)
-        assert [v.rule for v in found] == ["picklable-plan"]
-        assert found[0].symbol == "Filter.__init__"
-        assert "lambda" in found[0].message
-
-    def test_open_handle_on_predicate_flagged(self):
-        source = (
-            "class FromFile(Predicate):\n"
-            "    def __init__(self, path):\n"
-            "        self.handle = open(path)\n"
-        )
-        found = violations_of(check_picklable_plan_state, source)
-        assert [v.symbol for v in found] == ["FromFile.__init__"]
-        assert "open file handle" in found[0].message
-
-    def test_engine_reference_flagged(self):
-        source = (
-            "class Scan(PhysicalOperator):\n"
-            "    def __init__(self, engine, name):\n"
-            "        self.engine = engine\n"
-            "        self.name = name\n"
-        )
-        found = violations_of(check_picklable_plan_state, source)
-        assert [v.symbol for v in found] == ["Scan.__init__"]
-        assert "engine" in found[0].message
-
-    def test_transitive_subclass_checked(self):
-        source = (
-            "class Join(PhysicalOperator):\n"
-            "    pass\n"
-            "class HashJoin(Join):\n"
-            "    def __init__(self, probe):\n"
-            "        self.probe = lambda row: row\n"
-        )
-        found = violations_of(check_picklable_plan_state, source)
-        assert [v.symbol for v in found] == ["HashJoin.__init__"]
-
-    def test_plain_state_clean(self):
-        source = (
-            "class Scan(PhysicalOperator):\n"
-            "    def __init__(self, name, rows):\n"
-            "        self.name = name\n"
-            "        self.estimated_rows = rows\n"
-        )
-        assert violations_of(check_picklable_plan_state, source) == []
-
-    def test_unrelated_classes_ignored(self):
-        source = (
-            "class Service:\n"
-            "    def __init__(self, engine):\n"
-            "        self.engine = engine\n"
-            "        self.hook = lambda: None\n"
-        )
-        assert violations_of(check_picklable_plan_state, source) == []
-
-
 # --------------------------------------------------------------------------- #
 # run_lint over a synthetic tree, baseline workflow, report format
 # --------------------------------------------------------------------------- #
@@ -282,11 +218,6 @@ def synthetic_package(tmp_path):
         "def arm(relation, hook):\n"
         "    relation.watch(hook)\n"
     )
-    (root / "physical.py").write_text(
-        "class Filter(PhysicalOperator):\n"
-        "    def __init__(self, predicate):\n"
-        "        self.test = lambda row: predicate(row)\n"
-    )
     return root
 
 
@@ -296,7 +227,6 @@ class TestRunLintAndBaseline:
         assert sorted({v.rule for v in found}) == [
             "async-blocking",
             "locked-state",
-            "picklable-plan",
             "relation-version",
             "watch-release",
         ]

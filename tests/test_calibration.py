@@ -215,3 +215,62 @@ class TestProfileRoundTrip:
         assert document["format"] == "repro-cost-profile"
         assert document["version"] == 1
         assert set(document["engines"]["database"]) == set(CostModel.CONSTANT_FIELDS)
+
+
+class TestProfilesWithRemovedConstants:
+    """Profiles written while the sharded backend existed carry three
+    parallelism constants (``shard_setup``, ``shard_ship_tuple``,
+    ``shard_merge_tuple``) in every engine, plus ``columnar`` and
+    ``sharded`` engine entries.  Those constants no longer exist."""
+
+    @staticmethod
+    def _old_profile(tmp_path):
+        shard_constants = {"shard_setup": 50.0, "shard_ship_tuple": 0.5, "shard_merge_tuple": 1.0}
+        engines = {
+            name: dict(COST_MODELS[source].constants(), **shard_constants)
+            for name, source in (
+                ("database", "database"),
+                ("wsd", "wsd"),
+                ("uwsdt", "uwsdt"),
+                ("columnar", "database"),
+                ("sharded", "uwsdt"),
+            )
+        }
+        path = tmp_path / "old_profile.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-cost-profile",
+                    "version": 1,
+                    "engines": engines,
+                    "metadata": {"self_tuned": True},
+                }
+            )
+        )
+        return path
+
+    def test_load_rejects_removed_shard_constants(self, tmp_path):
+        path = self._old_profile(tmp_path)
+        with pytest.raises(ValueError, match="shard_setup"):
+            load_cost_profile(str(path))
+        assert CostModel.for_engine("database") is COST_MODELS["database"]
+
+    def test_env_profile_with_removed_constants_falls_back_to_hand_tuned(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.core.planner.cost as cost_module
+        from repro.relational import Database, Relation, RelationSchema, eq
+
+        path = self._old_profile(tmp_path)
+        monkeypatch.setenv(cost_module.COST_PROFILE_ENV, str(path))
+        monkeypatch.setattr(cost_module, "_PROFILE_ENV_CHECKED", False)
+        database = Database(
+            [Relation(RelationSchema("R", ("A", "B")), [(i % 3, i) for i in range(20)])]
+        )
+        query = BaseRelation("R").select(eq("A", 1))
+        planned = query.plan(database)
+        assert planned.statistics.cost_model() is COST_MODELS["database"]
+        assert "cost model: database (hand-tuned constants)" in planned.explain()
+        assert sorted(query.run(database, "out", plan=planned)) == [
+            (1, i) for i in range(1, 20, 3)
+        ]

@@ -334,7 +334,7 @@ class TestFeedback:
             assert result.engine == "database"
             assert result.improved or result.error_before <= 0.02
             models = load_cost_profile(str(path))
-            assert set(models) == {"database", "wsd", "uwsdt", "columnar", "sharded"}
+            assert set(models) == {"database", "wsd", "uwsdt"}
             assert models["database"].constants() == result.model.constants()
             # The loaded profile is what the planner now serves.
             served = Statistics(engine="database").cost_model()
@@ -342,6 +342,25 @@ class TestFeedback:
             assert served.source == "calibrated"
         finally:
             clear_cost_profile()
+
+    def test_smoke_cli_round_trips_and_writes_only_its_output(self, tmp_path, monkeypatch):
+        """``python -m repro.core.exec --smoke`` (the CI self-tuning step):
+        calibrate, execute on the database and UWSDT engines, fold the
+        metrics in, verify the saved profile round-trips — and write no
+        file but the requested output."""
+        import json
+
+        from repro.core.exec.feedback import main
+
+        monkeypatch.chdir(tmp_path)
+        output = tmp_path / "tuned.json"
+        try:
+            assert main(["--smoke", "--output", str(output)]) == 0
+        finally:
+            clear_cost_profile()
+        document = json.loads(output.read_text())
+        assert set(document["engines"]) == {"database", "wsd", "uwsdt"}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["tuned.json"]
 
     def test_feedback_is_a_noop_without_chargeable_operators(self):
         from repro.core.exec import ExecutionMetrics

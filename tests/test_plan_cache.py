@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core import UWSDT, WSD
 from repro.core.algebra import BaseRelation
 from repro.core.chase import chase_uwsdt
-from repro.core.exec import ColumnarBackend, backend_for, lower
+from repro.core.exec import backend_for, lower
 from repro.relational.errors import QueryError
 from repro.core.planner import plan_call_count, sampling_call_count
 from repro.core.planner.catalog import catalog_for
@@ -180,73 +180,32 @@ class TestRepresentationEngines:
 
 
 class TestBackendKeying:
-    """The cache key includes the executing backend: a row-backend plan
-    cached for a query must never be served to a columnar request (its
-    physical tree has no Materialize/Dematerialize boundaries, so the
-    columnar backend would run it row-at-a-time — or worse, a columnar
-    tree handed to a row backend would crash on batch handles)."""
-
-    def test_cached_row_plan_is_not_served_to_a_columnar_request(self):
-        database = small_database()
-        cache = plan_cache_for(database)
-        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
-        row_entry = populate(cache, query, database)
-
-        # Same fingerprint, different backend: must miss, not serve the
-        # row plan.
-        assert cache.lookup(query.fingerprint(), "columnar") is None
-
-        plan = query.plan(database)
-        columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
-        columnar_entry = cache.store(query.fingerprint(), plan, columnar_physical)
-
-        # Both entries coexist under the same fingerprint, keyed by backend.
-        assert columnar_entry is not row_entry
-        assert cache.lookup(query.fingerprint(), "columnar") is columnar_entry
-        assert cache.lookup(query.fingerprint()) is row_entry
-        assert row_entry.backend == "database"
-        assert columnar_entry.backend == "columnar"
-
-        # And each executes to the same rows on its own backend.
-        expected = sorted(query.run(database, optimize=False))
-        assert sorted(query.run(database, physical=row_entry.physical)) == expected
-        assert (
-            sorted(
-                query.run(
-                    database,
-                    physical=columnar_entry.physical,
-                    backend=ColumnarBackend(database),
-                )
-            )
-            == expected
-        )
+    """A cache belongs to one engine and keys its entries by fingerprint
+    alone; every plan it holds was lowered for that engine's one backend,
+    and a plan handed to another engine kind's backend refuses to run."""
 
     def test_executing_a_plan_on_the_wrong_backend_raises(self):
         database = small_database()
         query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
         plan = query.plan(database)
-        columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
-        with pytest.raises(QueryError):
-            columnar_physical.execute(backend_for(database), "mismatch")
+        database_physical = lower(plan.chosen, backend_for(database), plan.statistics)
+        uwsdt = UWSDT.from_orset_relations(small_orset_relations())
+        with pytest.raises(QueryError, match="cannot run on a 'uwsdt' backend"):
+            database_physical.execute(backend_for(uwsdt), "mismatch")
 
-    def test_invalidate_with_backend_pops_only_that_entry(self):
+    def test_invalidate_pops_only_that_fingerprint(self):
         database = small_database()
         cache = plan_cache_for(database)
-        query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
-        row_entry = populate(cache, query, database)
-        plan = query.plan(database)
-        columnar_physical = lower(plan.chosen, ColumnarBackend(database), plan.statistics)
-        cache.store(query.fingerprint(), plan, columnar_physical)
+        join = BaseRelation("R").join(BaseRelation("S"), "A", "B")
+        scan = BaseRelation("T").select(AttrConst("D", "=", 1))
+        populate(cache, join, database)
+        scan_entry = populate(cache, scan, database)
 
-        cache.invalidate(query.fingerprint(), reason="replan", backend="columnar")
-        assert cache.lookup(query.fingerprint(), "columnar") is None
-        assert cache.lookup(query.fingerprint()) is row_entry
+        cache.invalidate(join.fingerprint(), reason="replan")
+        assert cache.lookup(join.fingerprint()) is None
+        assert cache.lookup(scan.fingerprint()) is scan_entry
 
-        # Fingerprint-only invalidation still sweeps every backend's entry.
-        cache.invalidate(query.fingerprint())
-        assert cache.lookup(query.fingerprint()) is None
-
-    def test_service_keys_cache_entries_by_backend(self):
+    def test_service_keys_cache_entries_by_fingerprint(self):
         from repro.service import QueryService
 
         async def scenario():
@@ -255,17 +214,12 @@ class TestBackendKeying:
             session = service.session("database")
             query = BaseRelation("R").join(BaseRelation("S"), "A", "B")
 
-            row_run = await session.execute(query)
-            columnar_run = await session.execute(query, backend="columnar")
-            # The columnar request must not hit the row entry...
-            assert not row_run.cached and not columnar_run.cached
-            assert row_run.backend == "database"
-            assert columnar_run.backend == "columnar"
-            assert sorted(row_run.value) == sorted(columnar_run.value)
-
-            # ...but each backend's own entry serves repeats.
-            assert (await session.execute(query)).cached
-            assert (await session.execute(query, backend="columnar")).cached
+            first = await session.execute(query)
+            second = await session.execute(query)
+            assert not first.cached and second.cached
+            assert first.backend == second.backend == "database"
+            assert sorted(first.value) == sorted(second.value)
+            assert len(service.plan_cache("database")) == 1
 
         asyncio.run(scenario())
 

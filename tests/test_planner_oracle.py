@@ -226,8 +226,7 @@ def chase_dependency_lists(draw, max_size=3):
 
 
 def assert_engines_match_reference(reference, uwsdt, wsd, query):
-    """Planned UWSDT, unplanned UWSDT and (planned) WSD must match ``reference``
-    — and both UWSDT paths again under the columnar vectorized backend."""
+    """Planned UWSDT, unplanned UWSDT and (planned) WSD must match ``reference``."""
     planned = uwsdt.copy()
     query.run(planned, "P", optimize=True)
     planned.validate()
@@ -241,16 +240,6 @@ def assert_engines_match_reference(reference, uwsdt, wsd, query):
     wsd_copy = wsd.copy()
     query.run(wsd_copy, "P", optimize=True)
     assert_same_result_distribution(wsd_copy.rep(), reference, "P")
-
-    columnar_planned = uwsdt.copy()
-    query.run(columnar_planned, "P", optimize=True, backend="columnar")
-    columnar_planned.validate()
-    assert_same_result_distribution(columnar_planned.rep(), reference, "P")
-
-    columnar_unplanned = uwsdt.copy()
-    query.run(columnar_unplanned, "P", optimize=False, backend="columnar")
-    columnar_unplanned.validate()
-    assert_same_result_distribution(columnar_unplanned.rep(), reference, "P")
 
 
 def check_against_oracle(orset_relation, query):
